@@ -1029,8 +1029,8 @@ let alloc () =
 
   subheader "fastpath probe - Fastpath.lookup_into, warm DLHT hit (expect 0 words)";
   let fp = Kernel.fastpath env_opt.W.Env.kernel in
-  (* The ctx is built once: per-call construction is the caller's cost, not
-     the probe's (Proc.walk_ctx allocates a record). *)
+  (* The ctx is fetched once so these rows time the probe alone; the
+     syscall rows above include the (cached) Proc.walk_ctx check. *)
   let ctx = Proc.walk_ctx env_opt.W.Env.proc in
   List.iter
     (fun (label, path) ->

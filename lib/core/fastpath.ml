@@ -42,6 +42,11 @@ type t = {
   c_prefix_stale : Counter.cell;
   c_negfail_promoted : Counter.cell;
   c_lease_fallback : Counter.cell;
+  c_alias_resig : Counter.cell;
+  c_populated : Counter.cell;
+  c_eio_no_populate : Counter.cell;
+  c_batch_split : Counter.cell;
+  c_batch_deferred : Counter.cell;
 }
 
 let create dcache =
@@ -69,6 +74,11 @@ let create dcache =
       c_prefix_stale = Counter.cell counters "fastpath_prefix_stale";
       c_negfail_promoted = Counter.cell counters "fastpath_negfail_promoted";
       c_lease_fallback = Counter.cell counters "fastpath_lease_fallback";
+      c_alias_resig = Counter.cell counters "mount_alias_resignature";
+      c_populated = Counter.cell counters "fastpath_populated";
+      c_eio_no_populate = Counter.cell counters "fastpath_eio_no_populate";
+      c_batch_split = Counter.cell counters "fastpath_batch_split";
+      c_batch_deferred = Counter.cell counters "fastpath_batch_deferred";
     }
   in
   (Dcache.hooks dcache).on_shootdown <- Dlht.remove;
@@ -78,7 +88,6 @@ let dcache t = t.dcache
 let key t = t.key
 let set_simulate_pcc_miss t v = t.simulate_pcc_miss <- v
 let config t = Dcache.config t.dcache
-let counters t = Dcache.counters t.dcache
 
 (* --- canonical hash states (§3.1) ---
 
@@ -479,82 +488,87 @@ let probe t ctx ~(start : path_ref) ~(flags : Walk.flags) path =
   let pcc = pcc_of t ctx in
   let absolute = Path.is_absolute path in
   let trailing_slash = Path.has_trailing_slash path in
+  let t0 = Phases.stamp () in
   let components =
-    Phases.timed Phases.Scan_hash (fun () ->
-        match Path.split path with
-        | Ok comps ->
-          if cfg.Config.dotdot = Config.Dotdot_lexical then Path.lexical_normalize comps
-          else comps
-        | Error e -> raise (Errno.Error e))
+    match Path.split path with
+    | Ok comps ->
+      if cfg.Config.dotdot = Config.Dotdot_lexical then Path.lexical_normalize comps
+      else comps
+    | Error e -> raise (Errno.Error e)
   in
-  let base =
-    Phases.timed Phases.Init (fun () ->
-        let base = if absolute then ctx.Walk.root else start in
-        ensure_hstate t base)
-  in
+  Phases.record_span Phases.Scan_hash t0;
+  let t0 = Phases.stamp () in
+  let base = ensure_hstate t (if absolute then ctx.Walk.root else start) in
+  Phases.record_span Phases.Init t0;
   (* Hash the canonical path, handling dot-dot per the configured
      semantics; lexical mode has already removed them. *)
+  let t0 = Phases.stamp () in
   let state =
-    Phases.timed Phases.Scan_hash (fun () ->
-        List.fold_left
-          (fun state comp ->
-            match comp with
-            | Path.Cur -> state
-            | Path.Name name ->
-              Signature.feed_string t.key (Signature.feed_char t.key state '/') name
-            | Path.Up ->
-              (* Linux semantics: an extra fastpath lookup of the prefix to
-                 preserve permission checks, then resume from the parent's
-                 state (§4.2). *)
-              Counter.bump t.c_dotdot;
-              let prefix = probe_prefix t dlht pcc state in
-              let up = fast_dotdot ctx prefix in
-              ensure_hstate t up)
-          base components)
+    List.fold_left
+      (fun state comp ->
+        match comp with
+        | Path.Cur -> state
+        | Path.Name name ->
+          Signature.feed_string t.key (Signature.feed_char t.key state '/') name
+        | Path.Up ->
+          (* Linux semantics: an extra fastpath lookup of the prefix to
+             preserve permission checks, then resume from the parent's
+             state (§4.2). *)
+          Counter.bump t.c_dotdot;
+          let prefix = probe_prefix t dlht pcc state in
+          let up = fast_dotdot ctx prefix in
+          ensure_hstate t up)
+      base components
   in
+  Phases.record_span Phases.Scan_hash t0;
   let signature = Signature.finalize t.key state in
+  let t0 = Phases.stamp () in
   let literal =
-    Phases.timed Phases.Table_lookup (fun () ->
-        match Dlht.find dlht ~key:t.key signature with
-        | Some d -> d
-        | None ->
-          Trace.bump_cause Trace.cause_cold;
-          raise Fall_back)
+    match Dlht.find dlht ~key:t.key signature with
+    | Some d -> d
+    | None ->
+      Trace.bump_cause Trace.cause_cold;
+      raise Fall_back
   in
-  Phases.timed Phases.Permission (fun () ->
-      let shallow_real = real_of literal in
-      validate t pcc literal shallow_real);
-  Phases.timed Phases.Finalize (fun () ->
-      let at_root = at_ns_root ctx in
-      match literal.d_state with
+  Phases.record_span Phases.Table_lookup t0;
+  let t0 = Phases.stamp () in
+  validate t pcc literal (real_of literal);
+  Phases.record_span Phases.Permission t0;
+  let t0 = Phases.stamp () in
+  let result =
+    let at_root = at_ns_root ctx in
+    match literal.d_state with
+    | Negative errno ->
+      if not (Dcache.negative_current literal) then raise Fall_back;
+      Counter.bump t.c_neg;
+      Trace.stamp Trace.ev_fast_neg 0;
+      Error errno
+    | Positive _ | Partial _ -> (
+      let sc = Domain.DLS.get scratch_key in
+      let final =
+        chase t dlht pcc sc ~follow_last:flags.Walk.follow_last ~at_ns_root:at_root
+          literal 8
+      in
+      match final.d_state with
       | Negative errno ->
-        if not (Dcache.negative_current literal) then raise Fall_back;
+        if not (Dcache.negative_current final) then raise Fall_back;
         Counter.bump t.c_neg;
         Trace.stamp Trace.ev_fast_neg 0;
         Error errno
-      | Positive _ | Partial _ -> (
-        let sc = Domain.DLS.get scratch_key in
-        let final =
-          chase t dlht pcc sc ~follow_last:flags.Walk.follow_last ~at_ns_root:at_root
-            literal 8
-        in
-        match final.d_state with
-        | Negative errno ->
-          if not (Dcache.negative_current final) then raise Fall_back;
-          Counter.bump t.c_neg;
-          Trace.stamp Trace.ev_fast_neg 0;
-          Error errno
-        | Partial _ -> raise Fall_back
-        | Positive _ ->
-          if (flags.Walk.must_dir || trailing_slash) && not (dentry_is_dir final) then
-            Error Errno.ENOTDIR
-          else begin
-            match final.d_mnt with
-            | None -> raise Fall_back
-            | Some mnt ->
-              final.d_last_used <- Dcache.new_tick t.dcache;
-              Ok { mnt; dentry = final }
-          end))
+      | Partial _ -> raise Fall_back
+      | Positive _ ->
+        if (flags.Walk.must_dir || trailing_slash) && not (dentry_is_dir final) then
+          Error Errno.ENOTDIR
+        else begin
+          match final.d_mnt with
+          | None -> raise Fall_back
+          | Some mnt ->
+            final.d_last_used <- Dcache.new_tick t.dcache;
+            Ok { mnt; dentry = final }
+        end)
+  in
+  Phases.record_span Phases.Finalize t0;
+  result
 
 (* --- in-place probe (allocation-free warm path) ---
 
@@ -949,7 +963,7 @@ let populate ?(exclusive = false) t ctx ~visited ~absolute ~start =
           d.d_sig <- None;
           d.d_mnt <- Some r.mnt;
           Dcache.bump_seq d;
-          Counter.incr (counters t) "mount_alias_resignature"
+          Counter.bump t.c_alias_resig
         | Some _ | None -> ());
         let state = ensure_hstate t r in
         let signature =
@@ -986,7 +1000,7 @@ let populate ?(exclusive = false) t ctx ~visited ~absolute ~start =
         if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc d
         end)
       visited;
-    Counter.add (counters t) "fastpath_populated" (List.length visited);
+    Counter.bump_by t.c_populated (List.length visited);
     (* Sharded mode defers DLHT migration/growth out of the per-splice path
        (a stripe section must stay within its stripe); this write-locked
        populate is where the table catches up. *)
@@ -1144,7 +1158,7 @@ let fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive path ~within =
      may describe state the device no longer backs — so publish
      nothing and let a later, healthy walk repopulate. *)
   (match result.Walk.outcome with
-  | Error Errno.EIO -> Counter.incr (Dcache.counters t.dcache) "fastpath_eio_no_populate"
+  | Error Errno.EIO -> Counter.bump t.c_eio_no_populate
   | Ok _ | Error _ ->
     if Dcache.invalidation_counter t.dcache = invalidation_before then
       populate ~exclusive t ctx ~visited:result.Walk.visited ~absolute:pop_absolute
@@ -1442,15 +1456,6 @@ let lookup_into t ctx ?start ?flags path ~within =
     result
   end
 
-let lookup_with t ctx ?start ?flags path ~within =
-  lookup_into t ctx ?start ?flags path ~within:(fun mnt dentry -> within { mnt; dentry })
-
-let lookup t ctx ?start ?flags path =
-  let absolute = Path.is_absolute path in
-  match lookup_into t ctx ?start ?flags path ~within:(fun mnt dentry -> Ok { mnt; dentry }) with
-  | Ok r -> { Walk.outcome = Ok r; visited = []; absolute }
-  | Error e -> { Walk.outcome = Error e; visited = []; absolute }
-
 (* --- vectored probes (§3.9) ---
 
    Phase 1 runs every queued op through the lockless probe under ONE
@@ -1553,7 +1558,7 @@ and batch_window t ctx sc path flags prepare within complete deferred n i ndef w
 and batch_split t ctx sc path flags prepare within complete deferred n i ndef windows
     spins =
   note_lockless_retry t ctx sc;
-  Counter.incr (counters t) "fastpath_batch_split";
+  Counter.bump t.c_batch_split;
   Trace.stamp Trace.ev_batch_split i;
   if spins + 1 >= max_sharded_attempts then begin
     deferred.(ndef) <- i;
@@ -1585,7 +1590,7 @@ let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
     done;
     deferred.(!j + 1) <- v
   done;
-  Counter.add (counters t) "fastpath_batch_deferred" ndef;
+  Counter.bump_by t.c_batch_deferred ndef;
   Dcache.with_write t.dcache (fun () ->
       for k = 0 to ndef - 1 do
         let i = deferred.(k) in

@@ -31,29 +31,6 @@ val set_simulate_pcc_miss : t -> bool -> unit
 (** Force every probe to miss in the PCC (and skip PCC repopulation): the
     paper's "fastpath miss + slowpath" worst case (Fig. 6). *)
 
-val lookup : t -> Walk.ctx -> ?start:path_ref -> ?flags:Walk.flags -> string -> Walk.result_
-(** Resolve a path: fastpath probe, then slowpath-with-population fallback.
-    [start] overrides the walk origin for relative paths (the *at() family);
-    default is the context's cwd.  The warm probe is {e lockless}: it runs
-    without the dcache lock, validated against the dcache-wide write
-    sequence, and retries under the read lock when a concurrent write
-    section invalidated it (RCU-walk → ref-walk, §3.2); only the fallback
-    takes the write lock.  With the fastpath disabled in the configuration,
-    this is the baseline kernel's two-phase (Rcu then Ref) slowpath. *)
-
-val lookup_with :
-  t ->
-  Walk.ctx ->
-  ?start:path_ref ->
-  ?flags:Walk.flags ->
-  string ->
-  within:(path_ref -> ('a, Dcache_types.Errno.t) result) ->
-  ('a, Dcache_types.Errno.t) result
-(** Like {!lookup}, but runs [within] on the result while the protecting
-    lock is still held, so the caller can pin the dentry or evaluate
-    permissions without racing evictions.  Thin wrapper over
-    {!lookup_into} that boxes the location into a [path_ref]. *)
-
 val lookup_into :
   t ->
   Walk.ctx ->
@@ -62,10 +39,24 @@ val lookup_into :
   string ->
   within:(mount -> dentry -> ('a, Dcache_types.Errno.t) result) ->
   ('a, Dcache_types.Errno.t) result
-(** The allocation-free lookup: like {!lookup_with} but hands the resolved
-    location to [within] as separate arguments instead of building a
-    [path_ref].  On the default configuration (fastpath on, Linux dot-dot
-    semantics) a warm DLHT hit over a plain path — no ".." components —
+(** Resolve a path — fastpath probe, then slowpath-with-population
+    fallback — and run [within] on the resolved location while the lookup
+    is still protected, so the caller can pin the dentry or evaluate
+    permissions without racing evictions.  [start] overrides the walk
+    origin for relative paths (the *at() family); default is the context's
+    cwd.  The warm probe is {e lockless}: it runs without the dcache lock,
+    validated against the dcache-wide write sequence, and retries under
+    the read lock when a concurrent write section invalidated it (RCU-walk
+    → ref-walk, §3.2); only the fallback takes the write lock.  With the
+    fastpath disabled in the configuration, this is the baseline kernel's
+    two-phase (Rcu then Ref) slowpath.  Every syscall lookup resolves
+    through this one entry point.
+
+    The location reaches [within] as separate arguments, never a boxed
+    [path_ref].  Callers pass [?flags]/[?start] as preallocated options
+    where they can: a literal [~flags:f] boxes a [Some] per call.  On the
+    default configuration (fastpath on, Linux dot-dot semantics) a warm
+    DLHT hit over a plain path — no ".." components —
     performs {e zero} minor-heap allocation and {e zero} rwlock
     acquisitions beyond what [within] itself does: the path is hashed in
     place from the raw string into per-domain scratch state, the bucket

@@ -3,8 +3,9 @@
     A preallocated SQ/CQ ring pair over a process: callers enqueue up to
     [cap] metadata probes (stat / lstat / access), call {!submit}, and read
     completions back out of the CQ arrays.  Everything on the warm path —
-    the per-op closures, the walk context, the result slots — is allocated
-    once at {!create}; a warm all-hit submit performs {e zero} minor-heap
+    the per-op closures, the result slots — is allocated once at
+    {!create}, and the walk context is the process's cached one
+    ({!Proc.walk_ctx}); a warm all-hit submit performs {e zero} minor-heap
     allocation and zero rwlock acquisitions, and shares one seqcount
     validation window, one span mint and one lease-gate consult across the
     whole run (see {!Dcache_core.Fastpath.probe_batch}). *)
@@ -50,13 +51,7 @@ type state = {
   mutable dir_cursor : int;
   (* phase-2 scratch for {!Fastpath.probe_batch} *)
   deferred : int array;
-  (* cached walk context, revalidated by physical equality each submit *)
-  mutable ctx : Walk.ctx;
-  (* counter cells cached at create: the name-based lookups allocate an
-     option per call, and submit must stay word-free *)
-  c_submit : Counter.cell;
-  c_ops : Counter.cell;
-  c_lookup : Counter.cell;
+  cells : Kernel.cells;
 }
 
 type t = {
@@ -71,7 +66,6 @@ type t = {
 }
 
 let ok_unit : (unit, Errno.t) result = Ok ()
-let nofollow_flags = { Walk.follow_last = false; must_dir = false; collect = false }
 
 (* Mirror of [Syscalls.do_stat]'s result match: positive → attr, anything
    still cached short of positive → ENOENT.  No promotion — exactly what
@@ -139,7 +133,6 @@ let create ?(cap = 128) proc =
     | Positive inode -> Inode.attr inode
     | Partial _ | Negative _ -> assert false
   in
-  let cs = Kernel.counters proc.Proc.kernel in
   let s =
     {
       proc;
@@ -156,17 +149,14 @@ let create ?(cap = 128) proc =
       cq_dir_len = Array.make cap 0;
       dir_cursor = 0;
       deferred = Array.make cap 0;
-      ctx = Proc.walk_ctx proc;
-      c_submit = Counter.cell cs "batch_submit";
-      c_ops = Counter.cell cs "batch_ops";
-      c_lookup = Counter.cell cs "path_lookup";
+      cells = Kernel.cells proc.Proc.kernel;
     }
   in
   {
     s;
     path_of = (fun i -> s.sq_path.(i));
     flags_of =
-      (fun i -> if s.sq_op.(i) = op_lstat then nofollow_flags else Walk.default_flags);
+      (fun i -> if s.sq_op.(i) = op_lstat then Walk.nofollow_flags else Walk.default_flags);
     prepare = (fun i -> s.cur <- i);
     within =
       (fun mnt dentry ->
@@ -204,39 +194,36 @@ let push_lstat t path = push t op_lstat path Access.may_read
 let push_access t path mask = push t op_access path mask
 let push_readdir t path = push t op_readdir path Access.may_read
 
-(* The cached context goes stale when the process changes credentials,
-   chroots, chdirs or switches namespace — all rare next to submits, all
-   observable by physical equality on the record fields (Proc mutators
-   replace, never mutate in place). *)
-let ctx_fresh s =
-  let c = s.ctx in
-  c.Walk.cred == s.proc.Proc.cred
-  && c.Walk.root == s.proc.Proc.root
-  && c.Walk.cwd == s.proc.Proc.cwd
-  && c.Walk.ns == s.proc.Proc.ns
-
 let submit t =
   let s = t.s in
   let n = s.sq_n in
   if n > 0 then begin
-    Counter.bump s.c_submit;
-    Counter.bump_by s.c_ops n;
-    (* One lookup count per op keeps the Table-1 style per-lookup stats
-       comparable with the sequential front-end; the per-path byte and
-       component tallies are skipped — they would cost a string scan per
-       op on the zero-allocation path. *)
-    Counter.bump_by s.c_lookup n;
+    let c = s.cells in
+    Counter.bump c.Kernel.batch_submit;
+    Counter.bump_by c.Kernel.batch_ops n;
+    (* The Table-1 per-lookup statistics, summed over the ring and bumped
+       once each: the same figures the sequential front end's
+       [Kernel.note_lookup] would count for these paths.  The local refs
+       are never captured by a closure, so they compile to registers. *)
+    let bytes = ref 0 and comps = ref 0 in
+    for i = 0 to n - 1 do
+      let p = s.sq_path.(i) in
+      bytes := !bytes + String.length p;
+      comps := !comps + Dcache_vfs.Path.count_components p
+    done;
+    Counter.bump_by c.Kernel.path_lookup n;
+    Counter.bump_by c.Kernel.path_bytes !bytes;
+    Counter.bump_by c.Kernel.path_comps !comps;
     (* One span mint for the whole submission (§3.8): every op's stamps
        ride the same request-scoped span. *)
     if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_batch_submit n;
     (* Listings from the previous submission die here: the scratch is one
        append arena per submission. *)
     s.dir_cursor <- 0;
-    if not (ctx_fresh s) then s.ctx <- Proc.walk_ctx s.proc;
     Fastpath.probe_batch
       (Kernel.fastpath s.proc.Proc.kernel)
-      s.ctx ~n ~path:t.path_of ~flags:t.flags_of ~prepare:t.prepare ~within:t.within
-      ~complete:t.complete ~deferred:s.deferred
+      (Proc.walk_ctx s.proc) ~n ~path:t.path_of ~flags:t.flags_of ~prepare:t.prepare
+      ~within:t.within ~complete:t.complete ~deferred:s.deferred
   end
 
 let submitted t i =

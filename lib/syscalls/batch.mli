@@ -3,8 +3,9 @@
     An io_uring-style SQ/CQ ring pair bound to one process.  Callers
     enqueue up to [cap] metadata probes with the [push_*] calls, fire them
     with {!submit}, and read completions back from the CQ with {!ok} /
-    {!errno} / {!attr}.  The ring, the per-op hook closures and the walk
-    context are all allocated at {!create}; a warm all-hit submit allocates
+    {!errno} / {!attr}.  The ring and the per-op hook closures are
+    allocated at {!create}, and every submit reuses the process's cached
+    walk context ({!Proc.walk_ctx}); a warm all-hit submit allocates
     {e zero} minor-heap words and takes zero rwlock acquisitions, paying
     one shared seqcount validation window, one trace span and one counter
     bump set for the whole run instead of per op — see
@@ -17,7 +18,8 @@
     (no trailing-symlink follow), and {!push_access} mirrors [access]
     against the LSM stack.  Differences are confined to accounting: batch
     submissions count under ["batch_submit"]/["batch_ops"] rather than the
-    per-syscall counters, skip the per-path byte/component tallies, and
+    per-syscall counters (the per-lookup ["path_lookup"], ["path_bytes"]
+    and ["path_comps"] tallies match the sequential calls exactly), and
     run outside {!Systime} wall-clock classing (the open-loop runner
     charges batch service time to the virtual clock itself). *)
 

@@ -37,6 +37,9 @@ type dirent_scratch = {
 type fd = {
   fd_num : int;
   fd_ref : path_ref;
+  (* [Some fd_ref], boxed once at open: the *at() family passes it as the
+     lookup's [?start] instead of boxing a fresh option per call *)
+  fd_start : path_ref option;
   fd_inode : Dcache_vfs.Inode.t;
   fd_readable : bool;
   fd_writable : bool;
@@ -54,11 +57,8 @@ type t = {
   fds : (int, fd) Hashtbl.t;
   mutable next_fd : int;
   dirents : dirent_scratch;
-  (* counter cells resolved at spawn/fork: name-keyed bumps allocate an
-     option per call, and the scratch readdir's warm path must stay
-     word-free *)
-  c_scratch_warm : Dcache_util.Stats.Counter.cell;
-  c_scratch_sys : Dcache_util.Stats.Counter.cell;
+  (* the walk context of the last syscall, reused while it is fresh *)
+  mutable ctx : Dcache_vfs.Walk.ctx;
 }
 
 let scratch_initial = 64
@@ -105,30 +105,31 @@ let[@inline] scratch_set ds i name ino kind =
    credential across all processes of the program instead. *)
 let default_cred = lazy (Cred.root ())
 
+let make_ctx kernel ~cred ~root ~cwd ~ns =
+  { Dcache_vfs.Walk.cred; root; cwd; ns; registry = Kernel.registry kernel }
+
 let spawn ?cred kernel =
   let cred = match cred with Some c -> c | None -> Lazy.force default_cred in
   let root = Kernel.root kernel in
   Dcache.dget root.dentry;
   Dcache.dget root.dentry;
   (* two pins: one for root, one for cwd *)
-  let cs = Kernel.counters kernel in
+  let ns = Kernel.init_ns kernel in
   {
     kernel;
     cred;
     root;
     cwd = root;
-    ns = Kernel.init_ns kernel;
+    ns;
     fds = Hashtbl.create 16;
     next_fd = 3;
     dirents = make_scratch ();
-    c_scratch_warm = Dcache_util.Stats.Counter.cell cs "readdir_scratch_warm";
-    c_scratch_sys = Dcache_util.Stats.Counter.cell cs "sys_readdir_fill";
+    ctx = make_ctx kernel ~cred ~root ~cwd:root ~ns;
   }
 
 let fork t =
   Dcache.dget t.root.dentry;
   Dcache.dget t.cwd.dentry;
-  let cs = Kernel.counters t.kernel in
   {
     kernel = t.kernel;
     cred = t.cred;
@@ -138,18 +139,27 @@ let fork t =
     fds = Hashtbl.create 16;
     next_fd = 3;
     dirents = make_scratch ();
-    c_scratch_warm = Dcache_util.Stats.Counter.cell cs "readdir_scratch_warm";
-    c_scratch_sys = Dcache_util.Stats.Counter.cell cs "sys_readdir_fill";
+    ctx = t.ctx;
   }
 
+(* The cached context goes stale when the process changes credentials,
+   chroots, chdirs or switches namespace — all rare next to lookups, all
+   observable by physical equality on the record fields (the mutators
+   replace, never mutate in place).  A fresh context is one record
+   allocation, paid only after such a change. *)
 let walk_ctx t =
-  {
-    Dcache_vfs.Walk.cred = t.cred;
-    root = t.root;
-    cwd = t.cwd;
-    ns = t.ns;
-    registry = Kernel.registry t.kernel;
-  }
+  let c = t.ctx in
+  if
+    c.Dcache_vfs.Walk.cred == t.cred
+    && c.Dcache_vfs.Walk.root == t.root
+    && c.Dcache_vfs.Walk.cwd == t.cwd
+    && c.Dcache_vfs.Walk.ns == t.ns
+  then c
+  else begin
+    let c = make_ctx t.kernel ~cred:t.cred ~root:t.root ~cwd:t.cwd ~ns:t.ns in
+    t.ctx <- c;
+    c
+  end
 
 let set_cred t update =
   let builder = Cred.prepare t.cred in

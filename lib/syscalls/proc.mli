@@ -41,6 +41,9 @@ type dirent_scratch = {
 type fd = {
   fd_num : int;
   fd_ref : path_ref;
+  fd_start : path_ref option;
+      (** [Some fd_ref], boxed once at open: the *at() calls pass it as the
+          lookup's [?start] without allocating *)
   fd_inode : Dcache_vfs.Inode.t;
   fd_readable : bool;
   fd_writable : bool;
@@ -58,10 +61,8 @@ type t = {
   fds : (int, fd) Hashtbl.t;
   mutable next_fd : int;
   dirents : dirent_scratch;
-  c_scratch_warm : Dcache_util.Stats.Counter.cell;
-      (** ["readdir_scratch_warm"], resolved at spawn: name-keyed bumps
-          allocate, and the warm readdir must stay word-free *)
-  c_scratch_sys : Dcache_util.Stats.Counter.cell;  (** ["sys_readdir_fill"] *)
+  mutable ctx : Dcache_vfs.Walk.ctx;
+      (** the cached walk context; read it through {!walk_ctx} *)
 }
 
 val scratch_cap : dirent_scratch -> int
@@ -87,6 +88,10 @@ val fork : t -> t
     not inherited. *)
 
 val walk_ctx : t -> Dcache_vfs.Walk.ctx
+(** The process's lookup context.  One context is cached per process and
+    reused by every syscall and {!Batch} submit while the process's
+    credentials, root, cwd and namespace are physically unchanged; a
+    change rebuilds it on the next call.  Allocation-free when fresh. *)
 
 val set_cred : t -> (Dcache_cred.Cred.Builder.t -> unit) -> unit
 (** Apply a credential change through the prepare/commit protocol; an

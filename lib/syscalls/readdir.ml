@@ -40,7 +40,7 @@ module Fault = Dcache_util.Fault
 
 let dcache proc = Kernel.dcache proc.Proc.kernel
 let kconfig proc = Kernel.config proc.Proc.kernel
-let count proc name = Counter.incr (Kernel.counters proc.Proc.kernel) name
+let cells proc = Kernel.cells proc.Proc.kernel
 
 exception Readdir_errno of Errno.t
 (** Error escape for {!fill}: boxing a [result] would put two words on the
@@ -214,7 +214,7 @@ let promote_listing_locked proc dir (entries : Fs.dirent array) =
     entries;
   if !safe then begin
     Dcache.set_complete d dir;
-    count proc "readdir_promoted"
+    Counter.bump (cells proc).readdir_promoted
   end;
   !safe
 
@@ -228,12 +228,12 @@ let fill_locked proc inode dir ~base =
     with_dir_stripe proc dir (fun () ->
         if not (dir_live dir) then Error Errno.ENOENT
         else if Dcache.is_complete d dir then begin
-          count proc "readdir_scratch_fill";
-          count proc "readdir_from_cache";
+          Counter.bump (cells proc).readdir_scratch_fill;
+          Counter.bump (cells proc).readdir_from_cache;
           Ok (scratch_fill_children proc dir ~base)
         end
         else begin
-          count proc "readdir_from_fs";
+          Counter.bump (cells proc).readdir_from_fs;
           match (Inode.fs inode).Fs.readdir (Inode.ino inode) with
           | Error e -> Error e
           | Ok listing ->
@@ -241,7 +241,7 @@ let fill_locked proc inode dir ~base =
               (kconfig proc).Config.dir_completeness
               && promote_listing_locked proc dir (Array.of_list listing)
             in
-            count proc "readdir_scratch_fill";
+            Counter.bump (cells proc).readdir_scratch_fill;
             if complete then Ok (scratch_fill_children proc dir ~base)
             else Ok (scratch_fill_listing proc listing ~base)
         end)
@@ -267,7 +267,7 @@ let fill proc inode dir ~base =
   in
   if n >= 0 then begin
     ds.Proc.ds_n <- n;
-    Counter.bump proc.Proc.c_scratch_warm;
+    Counter.bump (cells proc).readdir_scratch_warm;
     n
   end
   else begin

@@ -22,36 +22,23 @@ module Batch = Batch
 type 'a r = ('a, Errno.t) result
 
 let ( let* ) = Result.bind
-let counters proc = Kernel.counters proc.Proc.kernel
 let dcache proc = Kernel.dcache proc.Proc.kernel
 let kconfig proc = Kernel.config proc.Proc.kernel
-let count proc name = Counter.incr (counters proc) name
 
-(* Syscall entry: bump the per-kernel counter and mint a request-scoped
+(* The kernel's syscall-layer counter cells, resolved at [Kernel.create]:
+   every bump below is one atomic add, never a name lookup. *)
+let cells proc = Kernel.cells proc.Proc.kernel
+
+(* Syscall entry: bump the syscall's counter and mint a request-scoped
    span (§3.8).  The span id installs as this domain's current span and
    rides every subsequent Trace stamp, netfs RPC and lease-break
    notification until the next syscall entry on the domain.  Disarmed,
    [span_enter] is a load-and-branch returning 0 and nothing is stamped. *)
-let sys proc name =
-  count proc name;
+let sys cell =
+  Counter.bump cell;
   if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_syscall 0
 
-(* Per-lookup path statistics (reported in the paper's Table 1). *)
-let note_lookup proc path =
-  let c = counters proc in
-  Counter.incr c "path_lookup";
-  Counter.add c "path_bytes" (String.length path);
-  let comps = ref 0 in
-  let in_comp = ref false in
-  String.iter
-    (fun ch ->
-      if ch = '/' then in_comp := false
-      else if not !in_comp then begin
-        in_comp := true;
-        incr comps
-      end)
-    path;
-  Counter.add c "path_comps" !comps
+let note_lookup proc path = Kernel.note_lookup proc.Proc.kernel path
 
 let permission proc inode mask =
   if Lsm.permission (Kernel.registry proc.Proc.kernel) proc.Proc.cred (Inode.attr inode) mask
@@ -66,23 +53,31 @@ let positive_inode d =
 
 (* --- resolution helpers --- *)
 
-let lookup_flags ?(follow = true) ?(must_dir = false) () =
-  { Walk.follow_last = follow; must_dir; collect = false }
+(* Lookup flags as preallocated options for the [?flags] parameters below
+   and [Fastpath.lookup_into]'s: a literal [~flags:f] boxes a fresh [Some]
+   per call.  [None] means {!Walk.default_flags}. *)
+let f_nofollow = Some Walk.nofollow_flags
+let f_dir = Some Walk.dir_flags
+let f_nofollow_dir = Some Walk.nofollow_dir_flags
+
+let open_lookup_flags ~follow ~must_dir =
+  if follow then (if must_dir then f_dir else None)
+  else if must_dir then f_nofollow_dir
+  else f_nofollow
 
 (** Non-mutating resolution via the configured lookup machinery (fastpath
-    with fallback, or the baseline two-phase slowpath).  Takes locks
-    internally; must not be called with the dcache lock held. *)
-let resolve ?start ?flags proc path =
-  note_lookup proc path;
-  let flags = match flags with Some f -> f | None -> lookup_flags () in
-  let ctx = Proc.walk_ctx proc in
-  (Fastpath.lookup (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path).Walk.outcome
-
+    with fallback, or the baseline two-phase slowpath), running [within]
+    on the resolved location while the lookup still protects it.  Takes
+    locks internally; must not be called with the dcache lock held.
+    [within] should be a top-level function or a partial application of
+    one: the warm path allocates nothing else. *)
 let resolve_with ?start ?flags proc path ~within =
   note_lookup proc path;
-  let flags = match flags with Some f -> f | None -> lookup_flags () in
-  let ctx = Proc.walk_ctx proc in
-  Fastpath.lookup_with (Kernel.fastpath proc.Proc.kernel) ctx ?start ~flags path ~within
+  Fastpath.lookup_into (Kernel.fastpath proc.Proc.kernel) (Proc.walk_ctx proc) ?start
+    ?flags path ~within
+
+let ref_within mnt dentry = Ok { mnt; dentry }
+let resolve ?start ?flags proc path = resolve_with ?start ?flags proc path ~within:ref_within
 
 (** Resolution for mutating operations: caller must hold the write lock.
     Collects and publishes the prefix chain so that the optimized kernel's
@@ -100,9 +95,7 @@ let resolve_parent_locked ?start proc path =
 
 let resolve_locked ?flags proc path =
   note_lookup proc path;
-  let flags = match flags with Some f -> f | None -> lookup_flags () in
-  let ctx = Proc.walk_ctx proc in
-  (Walk.resolve_in_mode Walk.Ref (dcache proc) ctx ~flags path).Walk.outcome
+  (Walk.resolve_in_mode Walk.Ref (dcache proc) (Proc.walk_ctx proc) ?flags path).Walk.outcome
 
 let with_write proc f = Dcache.with_write (dcache proc) f
 
@@ -143,45 +136,75 @@ let instantiate proc (p : Walk.parent_result) (attr : Attr.t) =
 
 let map_fs_result result = Result.map_error (fun e -> e) result
 
-(* --- metadata --- *)
+(* --- metadata ---
 
-let do_stat ?(follow = true) ?start proc path =
-  let* ref_ = resolve ?start ~flags:(lookup_flags ~follow ()) proc path in
-  match ref_.dentry.d_state with
+   The warm stat/access family allocates only its result: the lookup runs
+   through [Fastpath.lookup_into] with a top-level [within] (or one
+   partial application of one), preallocated flag options and the
+   process's cached walk context, counters are cell bumps, and [Systime]
+   takes stamps instead of wrapping the call in a closure. *)
+
+(* No promotion — a [Partial] (readdir-cached) final dentry reads ENOENT,
+   as the batch ring's stat does. *)
+let stat_within _mnt dentry =
+  match dentry.d_state with
   | Positive inode -> Ok (Inode.attr inode)
-  | Partial _ | Negative _ -> Error Errno.ENOENT
+  | Partial _ | Negative _ -> Errno.to_error Errno.ENOENT
+
+let do_stat ?start ?flags proc path = resolve_with ?start ?flags proc path ~within:stat_within
 
 let stat proc path =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_stat";
-      do_stat proc path)
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_stat;
+  let r = do_stat proc path in
+  Systime.record_span Systime.Access_stat t0;
+  r
 
 let lstat proc path =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_lstat";
-      do_stat ~follow:false proc path)
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_lstat;
+  let r = do_stat ?flags:f_nofollow proc path in
+  Systime.record_span Systime.Access_stat t0;
+  r
 
 let fstatat proc dirfd path ?(follow = true) () =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_fstatat";
-      let* fd = Proc.find_fd proc dirfd in
-      do_stat ~follow ~start:fd.Proc.fd_ref proc path)
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_fstatat;
+  let r =
+    match Proc.find_fd_exn proc dirfd with
+    | fd ->
+      do_stat ?start:fd.Proc.fd_start ?flags:(if follow then None else f_nofollow) proc path
+    | exception Not_found -> Errno.to_error Errno.EBADF
+  in
+  Systime.record_span Systime.Access_stat t0;
+  r
 
 let fstat proc fdnum =
-  sys proc "sys_fstat";
+  sys (cells proc).sys_fstat;
   let* fd = Proc.find_fd proc fdnum in
   Ok (Inode.attr fd.Proc.fd_inode)
 
+(* Spelled out rather than through [positive_inode] and [let*]: the
+   positive arm must not box an [Ok inode] or build a bind closure. *)
+let access_within proc mask _mnt dentry =
+  match dentry.d_state with
+  | Positive inode -> permission proc inode mask
+  | Partial _ -> (
+    match Dcache.promote dentry with
+    | Ok inode -> permission proc inode mask
+    | Error e -> Error e)
+  | Negative e -> Error e
+
 let access proc path mask =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_access";
-      resolve_with proc path ~within:(fun ref_ ->
-          let* inode = positive_inode ref_.dentry in
-          permission proc inode mask))
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_access;
+  let r = resolve_with proc path ~within:(access_within proc mask) in
+  Systime.record_span Systime.Access_stat t0;
+  r
 
 let readlink proc path =
-  sys proc "sys_readlink";
-  let* ref_ = resolve ~flags:(lookup_flags ~follow:false ()) proc path in
+  sys (cells proc).sys_readlink;
+  let* ref_ = resolve ?flags:f_nofollow proc path in
   let* inode = positive_inode ref_.dentry in
   if File_kind.equal (Inode.kind inode) File_kind.Symlink then Inode.symlink_target inode
   else Error Errno.EINVAL
@@ -222,6 +245,7 @@ let finish_open proc flags (ref_ : path_ref) =
         {
           Proc.fd_num = num;
           fd_ref = ref_;
+          fd_start = Some ref_;
           fd_inode = inode;
           fd_readable = readable;
           fd_writable = writable;
@@ -309,18 +333,16 @@ let split_basename path =
 
 (* Resolve the containing directory with no lock held — warm parents
    resolve locklessly through the fastpath; cold ones take the ordinary
-   locked fallback inside [Fastpath.lookup].  The result is re-validated
-   under the parent's stripe before anything trusts it. *)
+   locked fallback inside [Fastpath.lookup_into].  The result is
+   re-validated under the parent's stripe before anything trusts it.  Not
+   counted as a lookup: the section counts the full path once it commits. *)
 let resolve_dir ?start proc dirname =
-  let ctx = Proc.walk_ctx proc in
-  let ctx = match start with Some s -> { ctx with Walk.cwd = s } | None -> ctx in
   match dirname with
-  | None -> Some ctx.Walk.cwd
+  | None -> ( match start with Some _ -> start | None -> Some proc.Proc.cwd)
   | Some dir -> (
     match
-      (Fastpath.lookup (Kernel.fastpath proc.Proc.kernel) ctx
-         ~flags:(lookup_flags ~must_dir:true ()) dir)
-        .Walk.outcome
+      Fastpath.lookup_into (Kernel.fastpath proc.Proc.kernel) (Proc.walk_ctx proc) ?start
+        ?flags:f_dir dir ~within:ref_within
     with
     | Ok ref_ -> Some ref_
     | Error _ -> None)
@@ -415,16 +437,16 @@ let sharded_create ?start ~mode proc path flags : int attempt =
               | Error e -> finish (Done (Error e))
               | Ok attr ->
                 refresh_dir_attr dir_inode;
-                count proc "files_created";
-                count proc "sharded_create";
+                Counter.bump (cells proc).files_created;
+                Counter.bump (cells proc).sharded_create;
                 (* Either verdict — a cached negative or a complete parent's
                    authoritative absence — let this create skip the backend
                    existence probe entirely (§5). *)
-                count proc "create_neg_shortcut";
+                Counter.bump (cells proc).create_neg_shortcut;
                 (* The absence verdict that authorized this create came from
                    directory completeness (§5.1) — count it like the walk's
                    complete-dir miss would have been. *)
-                if existing = None then count proc "complete_dir_negative";
+                if existing = None then Counter.bump (Dcache.cells d).complete_dir_negative;
                 let inode = Dcache.iget parent.d_sb attr in
                 Dcache.bump_dir_gen parent;
                 let child =
@@ -503,7 +525,7 @@ let sharded_unlink ?start proc path : unit attempt =
                   | Error e -> finish (Done (Error e))
                   | Ok () ->
                     refresh_dir_attr (dir_inode_exn pref);
-                    count proc "sharded_unlink";
+                    Counter.bump (cells proc).sharded_unlink;
                     Dcache.bump_dir_gen pref.dentry;
                     Inode.bump_nlink child_inode (-1);
                     if (Inode.attr child_inode).Attr.nlink <= 0 then
@@ -592,7 +614,7 @@ let sharded_rename proc old_path new_path : unit attempt =
                       refresh_dir_attr (dir_inode_exn po);
                       if not (po.dentry == pn.dentry) then
                         refresh_dir_attr (dir_inode_exn pn);
-                      count proc "sharded_rename";
+                      Counter.bump (cells proc).sharded_rename;
                       Dcache.bump_dir_gen po.dentry;
                       Dcache.bump_dir_gen pn.dentry;
                       (match target with
@@ -680,7 +702,7 @@ let sharded_invalidate proc path : unit attempt =
                 else begin
                   ignore (Dcache.invalidate_structure d child);
                   Dcache.unhash ~reclaim:true d child;
-                  count proc "sharded_cb_invalidate";
+                  Counter.bump (cells proc).sharded_cb_invalidate;
                   finish (Done (Ok ()))
                 end)
             | Some _ | None -> finish Legacy (* raced: re-resolve under the big lock *)
@@ -746,9 +768,9 @@ let sharded_mkdir ?start ~mode proc path : unit attempt =
               with
               | Error e -> finish (Done (Error e))
               | Ok attr ->
-                count proc "sharded_mkdir";
-                count proc "create_neg_shortcut";
-                if existing = None then count proc "complete_dir_negative";
+                Counter.bump (cells proc).sharded_mkdir;
+                Counter.bump (cells proc).create_neg_shortcut;
+                if existing = None then Counter.bump (Dcache.cells d).complete_dir_negative;
                 Inode.bump_nlink dir_inode 1;
                 refresh_dir_attr dir_inode;
                 let inode = Dcache.iget parent.d_sb attr in
@@ -846,7 +868,7 @@ let sharded_rmdir proc path : unit attempt =
                       with
                       | Error e -> finish (Done (Error e))
                       | Ok () ->
-                        count proc "sharded_rmdir";
+                        Counter.bump (cells proc).sharded_rmdir;
                         Dcache.bump_dir_gen pref.dentry;
                         Inode.bump_nlink (dir_inode_exn pref) (-1);
                         refresh_dir_attr (dir_inode_exn pref);
@@ -859,12 +881,14 @@ let sharded_rmdir proc path : unit attempt =
             | Some _ | None -> finish Legacy (* raced: re-resolve under the big lock *)
           end)))
 
+let open_within proc flags mnt dentry = finish_open proc flags { mnt; dentry }
+
 let rec do_open ?(mode = Mode.default_file) ?start proc path flags =
   let follow = not (flag_mem Proc.O_NOFOLLOW flags) in
   if not (flag_mem Proc.O_CREAT flags) then
     resolve_with ?start proc path
-      ~flags:(lookup_flags ~follow ~must_dir:(flag_mem Proc.O_DIRECTORY flags) ())
-      ~within:(finish_open proc flags)
+      ?flags:(open_lookup_flags ~follow ~must_dir:(flag_mem Proc.O_DIRECTORY flags))
+      ~within:(open_within proc flags)
   else begin
     match sharded_create ?start ~mode proc path flags with
     | Done r -> r
@@ -894,7 +918,7 @@ let rec do_open ?(mode = Mode.default_file) ?start proc path flags =
                    ~gid:(Cred.gid proc.Proc.cred))
             in
             refresh_dir_attr dir_inode;
-            count proc "files_created";
+            Counter.bump (cells proc).files_created;
             let child = instantiate proc p attr in
             Result.map
               (fun fd -> `Opened fd)
@@ -907,18 +931,25 @@ let rec do_open ?(mode = Mode.default_file) ?start proc path flags =
   end
 
 let openf ?mode proc path flags =
-  Systime.timed Systime.Open (fun () ->
-      sys proc "sys_open";
-      do_open ?mode proc path flags)
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_open;
+  let r = do_open ?mode proc path flags in
+  Systime.record_span Systime.Open t0;
+  r
 
 let openat ?mode proc dirfd path flags =
-  Systime.timed Systime.Open (fun () ->
-      sys proc "sys_openat";
-      let* fd = Proc.find_fd proc dirfd in
-      do_open ?mode ~start:fd.Proc.fd_ref proc path flags)
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_openat;
+  let r =
+    match Proc.find_fd_exn proc dirfd with
+    | fd -> do_open ?mode ?start:fd.Proc.fd_start proc path flags
+    | exception Not_found -> Errno.to_error Errno.EBADF
+  in
+  Systime.record_span Systime.Open t0;
+  r
 
 let close proc fdnum =
-  sys proc "sys_close";
+  sys (cells proc).sys_close;
   let* fd = Proc.remove_fd proc fdnum in
   Dcache.dput fd.Proc.fd_ref.dentry;
   let inode = fd.Proc.fd_inode in
@@ -926,7 +957,7 @@ let close proc fdnum =
   Ok ()
 
 let read proc fdnum len =
-  sys proc "sys_read";
+  sys (cells proc).sys_read;
   let* fd = Proc.find_fd proc fdnum in
   if not fd.Proc.fd_readable then Error Errno.EBADF
   else begin
@@ -937,7 +968,7 @@ let read proc fdnum len =
   end
 
 let pread proc fdnum ~off ~len =
-  sys proc "sys_pread";
+  sys (cells proc).sys_pread;
   let* fd = Proc.find_fd proc fdnum in
   if not fd.Proc.fd_readable then Error Errno.EBADF
   else begin
@@ -955,7 +986,7 @@ let do_write (fd : Proc.fd) ~off data =
   end
 
 let write proc fdnum data =
-  sys proc "sys_write";
+  sys (cells proc).sys_write;
   let* fd = Proc.find_fd proc fdnum in
   let off =
     if fd.Proc.fd_append then (Inode.attr fd.Proc.fd_inode).Attr.size else fd.Proc.fd_pos
@@ -965,7 +996,7 @@ let write proc fdnum data =
   Ok written
 
 let pwrite proc fdnum ~off data =
-  sys proc "sys_pwrite";
+  sys (cells proc).sys_pwrite;
   let* fd = Proc.find_fd proc fdnum in
   do_write fd ~off data
 
@@ -1034,11 +1065,11 @@ let getdents_dnlc proc (fd : Proc.fd) want =
           let* entries =
             match Hashtbl.find_opt dnlc dir.d_id with
             | Some (gen, entries) when gen = dir.d_dir_gen ->
-              count proc "readdir_from_dnlc";
+              Counter.bump (cells proc).readdir_from_dnlc;
               stream.Proc.from_cache <- true;
               Ok entries
             | _ ->
-              count proc "readdir_from_fs";
+              Counter.bump (cells proc).readdir_from_fs;
               stream.Proc.from_cache <- false;
               let inode = fd.Proc.fd_inode in
               let* listing = (Inode.fs inode).Fs.readdir (Inode.ino inode) in
@@ -1059,7 +1090,7 @@ let getdents_dnlc proc (fd : Proc.fd) want =
       Ok chunk)
 
 let getdents proc fdnum want =
-  sys proc "sys_getdents";
+  sys (cells proc).sys_getdents;
   let* fd = Proc.find_fd proc fdnum in
   if not (Inode.is_dir fd.Proc.fd_inode) then Error Errno.ENOTDIR
   else if (kconfig proc).Config.dnlc_style_completeness then
@@ -1087,11 +1118,11 @@ let getdents proc fdnum want =
         let* entries =
           match cached with
           | Some entries ->
-            count proc "readdir_from_cache";
+            Counter.bump (cells proc).readdir_from_cache;
             stream.Proc.from_cache <- true;
             Ok entries
           | None ->
-            count proc "readdir_from_fs";
+            Counter.bump (cells proc).readdir_from_fs;
             stream.Proc.from_cache <- false;
             let inode = fd.Proc.fd_inode in
             let* listing = (Inode.fs inode).Fs.readdir (Inode.ino inode) in
@@ -1127,8 +1158,7 @@ exception Readdir_errno = Readdir.Readdir_errno
     minor-heap allocation; see {!Readdir}.  @raise Readdir_errno instead
     of boxing a [result] (two words) on that path. *)
 let readdir_fill proc fdnum =
-  Counter.bump proc.Proc.c_scratch_sys;
-  if Profiler.span_enter () <> 0 then Trace.stamp Trace.ev_syscall 0;
+  sys (cells proc).sys_readdir_fill;
   let fd =
     try Proc.find_fd_exn proc fdnum
     with Not_found -> raise (Readdir_errno Errno.EBADF)
@@ -1137,7 +1167,7 @@ let readdir_fill proc fdnum =
   Readdir.fill proc fd.Proc.fd_inode fd.Proc.fd_ref.dentry ~base:0
 
 let lseek proc fdnum off =
-  sys proc "sys_lseek";
+  sys (cells proc).sys_lseek;
   let* fd = Proc.find_fd proc fdnum in
   if off < 0 then Error Errno.EINVAL
   else begin
@@ -1159,14 +1189,14 @@ let lseek proc fdnum off =
   end
 
 let truncate proc path size =
-  sys proc "sys_truncate";
+  sys (cells proc).sys_truncate;
   if size < 0 then Error Errno.EINVAL
   else
-    resolve_with proc path ~within:(fun ref_ ->
-        let* inode = positive_inode ref_.dentry in
+    resolve_with proc path ~within:(fun mnt dentry ->
+        let* inode = positive_inode dentry in
         if not (File_kind.equal (Inode.kind inode) File_kind.Regular) then
           Error Errno.EINVAL
-        else if ref_.mnt.mnt_readonly then Error Errno.EROFS
+        else if mnt.mnt_readonly then Error Errno.EROFS
         else begin
           let* () = permission proc inode Access.may_write in
           Inode.setattr inode { Fs.no_setattr with Fs.set_size = Some size }
@@ -1175,7 +1205,7 @@ let truncate proc path size =
 (* --- namespace mutations --- *)
 
 let mkdir ?(mode = Mode.default_dir) proc path =
-  sys proc "sys_mkdir";
+  sys (cells proc).sys_mkdir;
   match sharded_mkdir ~mode proc path with
   | Done r -> r
   | Legacy ->
@@ -1203,42 +1233,47 @@ let check_not_mountpoint proc (p : Walk.parent_result) child =
   if Mount.is_mountpoint proc.Proc.ns p.Walk.parent.mnt child then Error Errno.EBUSY
   else Ok ()
 
+let do_unlink proc path =
+  match sharded_unlink proc path with
+  | Done r -> r
+  | Legacy ->
+  with_write proc (fun () ->
+      let* p = resolve_parent_locked proc path in
+      match p.Walk.child with
+      | None -> Error Errno.ENOENT
+      | Some child -> (
+        match child.d_state with
+        | Negative e -> Error e
+        | Partial _ | Positive _ ->
+          if dentry_is_dir child then Error Errno.EISDIR
+          else begin
+            let* () = check_not_mountpoint proc p child in
+            let* () = check_write_dir proc p in
+            let* dir_inode = parent_dir_inode p in
+            let* child_inode = positive_inode child in
+            let* () =
+              map_fs_result
+                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino dir_inode)
+                   p.Walk.last)
+            in
+            refresh_dir_attr dir_inode;
+            Dcache.bump_dir_gen p.Walk.parent.dentry;
+            Inode.bump_nlink child_inode (-1);
+            if (Inode.attr child_inode).Attr.nlink <= 0 then
+              Dcache.iforget child.d_sb (Inode.ino child_inode);
+            Dcache.note_unlinked (dcache proc) child;
+            Ok ()
+          end))
+
 let unlink proc path =
-  Systime.timed Systime.Unlink (fun () ->
-      sys proc "sys_unlink";
-      match sharded_unlink proc path with
-      | Done r -> r
-      | Legacy ->
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked proc path in
-          match p.Walk.child with
-          | None -> Error Errno.ENOENT
-          | Some child -> (
-            match child.d_state with
-            | Negative e -> Error e
-            | Partial _ | Positive _ ->
-              if dentry_is_dir child then Error Errno.EISDIR
-              else begin
-                let* () = check_not_mountpoint proc p child in
-                let* () = check_write_dir proc p in
-                let* dir_inode = parent_dir_inode p in
-                let* child_inode = positive_inode child in
-                let* () =
-                  map_fs_result
-                    (p.Walk.parent.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino dir_inode)
-                       p.Walk.last)
-                in
-                refresh_dir_attr dir_inode;
-                Dcache.bump_dir_gen p.Walk.parent.dentry;
-                Inode.bump_nlink child_inode (-1);
-                if (Inode.attr child_inode).Attr.nlink <= 0 then
-                  Dcache.iforget child.d_sb (Inode.ino child_inode);
-                Dcache.note_unlinked (dcache proc) child;
-                Ok ()
-              end)))
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_unlink;
+  let r = do_unlink proc path in
+  Systime.record_span Systime.Unlink t0;
+  r
 
 let rmdir proc path =
-  sys proc "sys_rmdir";
+  sys (cells proc).sys_rmdir;
   match sharded_rmdir proc path with
   | Done r -> r
   | Legacy ->
@@ -1275,7 +1310,7 @@ let rec is_ancestor ~(of_ : dentry) candidate =
   || (match of_.d_parent with Some parent -> is_ancestor ~of_:parent candidate | None -> false)
 
 let rename proc old_path new_path =
-  sys proc "sys_rename";
+  sys (cells proc).sys_rename;
   match sharded_rename proc old_path new_path with
   | Done r -> r
   | Legacy ->
@@ -1375,9 +1410,9 @@ let rename proc old_path new_path =
         end)
 
 let link proc old_path new_path =
-  sys proc "sys_link";
+  sys (cells proc).sys_link;
   with_write proc (fun () ->
-      let* old_ref = resolve_locked ~flags:(lookup_flags ~follow:false ()) proc old_path in
+      let* old_ref = resolve_locked ?flags:f_nofollow proc old_path in
       let* old_inode = positive_inode old_ref.dentry in
       if Inode.is_dir old_inode then Error Errno.EPERM
       else begin
@@ -1402,7 +1437,7 @@ let link proc old_path new_path =
       end)
 
 let symlink proc ~target path =
-  sys proc "sys_symlink";
+  sys (cells proc).sys_symlink;
   with_write proc (fun () ->
       let* p = resolve_parent_locked proc path in
       match p.Walk.child with
@@ -1420,7 +1455,7 @@ let symlink proc ~target path =
         Ok ())
 
 let mkstemp ?prng ?(prefix = "tmp") proc dir =
-  sys proc "sys_mkstemp";
+  sys (cells proc).sys_mkstemp;
   let prng =
     match prng with Some p -> p | None -> Dcache_util.Prng.create (Hashtbl.hash dir)
   in
@@ -1463,35 +1498,47 @@ let setattr_path proc path ~privileged changes =
       end)
 
 let chmod proc path mode =
-  Systime.timed Systime.Chmod_chown (fun () ->
-      sys proc "sys_chmod";
-      setattr_path proc path ~privileged:false { Fs.no_setattr with Fs.set_mode = Some mode })
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_chmod;
+  let r =
+    setattr_path proc path ~privileged:false { Fs.no_setattr with Fs.set_mode = Some mode }
+  in
+  Systime.record_span Systime.Chmod_chown t0;
+  r
 
 let chown proc path ~uid ~gid =
-  Systime.timed Systime.Chmod_chown (fun () ->
-      sys proc "sys_chown";
-      setattr_path proc path ~privileged:true
-        { Fs.no_setattr with Fs.set_uid = Some uid; set_gid = Some gid })
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_chown;
+  let r =
+    setattr_path proc path ~privileged:true
+      { Fs.no_setattr with Fs.set_uid = Some uid; set_gid = Some gid }
+  in
+  Systime.record_span Systime.Chmod_chown t0;
+  r
 
 let set_label proc path label =
-  sys proc "sys_set_label";
+  sys (cells proc).sys_set_label;
   setattr_path proc path ~privileged:true { Fs.no_setattr with Fs.set_label = Some label }
 
 (* --- process state --- *)
 
+(* chdir/chroot target: a searchable directory, pinned before the
+   protecting lookup lets go of it. *)
+let enter_within proc mnt dentry =
+  let* inode = positive_inode dentry in
+  let* () = permission proc inode Access.may_exec in
+  Dcache.dget dentry;
+  Ok { mnt; dentry }
+
 let chdir proc path =
-  sys proc "sys_chdir";
-  resolve_with proc path ~flags:(lookup_flags ~must_dir:true ()) ~within:(fun ref_ ->
-      let* inode = positive_inode ref_.dentry in
-      let* () = permission proc inode Access.may_exec in
-      Dcache.dget ref_.dentry;
-      Ok ref_)
-  |> Result.map (fun ref_ ->
-         Dcache.dput proc.Proc.cwd.dentry;
-         proc.Proc.cwd <- ref_)
+  sys (cells proc).sys_chdir;
+  let* ref_ = resolve_with proc path ?flags:f_dir ~within:(enter_within proc) in
+  Dcache.dput proc.Proc.cwd.dentry;
+  proc.Proc.cwd <- ref_;
+  Ok ()
 
 let fchdir proc fdnum =
-  sys proc "sys_fchdir";
+  sys (cells proc).sys_fchdir;
   let* fd = Proc.find_fd proc fdnum in
   if not (Inode.is_dir fd.Proc.fd_inode) then Error Errno.ENOTDIR
   else begin
@@ -1502,26 +1549,22 @@ let fchdir proc fdnum =
   end
 
 let chroot proc path =
-  sys proc "sys_chroot";
+  sys (cells proc).sys_chroot;
   if Cred.uid proc.Proc.cred <> 0 then Error Errno.EPERM
   else
-    resolve_with proc path ~flags:(lookup_flags ~must_dir:true ()) ~within:(fun ref_ ->
-        let* inode = positive_inode ref_.dentry in
-        let* () = permission proc inode Access.may_exec in
-        Dcache.dget ref_.dentry;
-        Ok ref_)
-    |> Result.map (fun ref_ ->
-           Dcache.dput proc.Proc.root.dentry;
-           proc.Proc.root <- ref_)
+    let* ref_ = resolve_with proc path ?flags:f_dir ~within:(enter_within proc) in
+    Dcache.dput proc.Proc.root.dentry;
+    proc.Proc.root <- ref_;
+    Ok ()
 
 (* --- mounts --- *)
 
 let mount_fs ?(readonly = false) ?(nosuid = false) proc fs path =
-  sys proc "sys_mount";
+  sys (cells proc).sys_mount;
   if Cred.uid proc.Proc.cred <> 0 then Error Errno.EPERM
   else begin
     with_write proc (fun () ->
-        let* at = resolve_locked ~flags:(lookup_flags ~must_dir:true ()) proc path in
+        let* at = resolve_locked ?flags:f_dir proc path in
         let* sb = Kernel.make_superblock proc.Proc.kernel fs in
         (* Mount changes remove covered entries from the DLHT (§3.2/§4.3). *)
         Dcache.invalidate_structure (dcache proc) at.dentry |> ignore;
@@ -1532,12 +1575,12 @@ let mount_fs ?(readonly = false) ?(nosuid = false) proc fs path =
   end
 
 let bind_mount ?(readonly = false) proc ~src ~dst =
-  sys proc "sys_mount";
+  sys (cells proc).sys_mount;
   if Cred.uid proc.Proc.cred <> 0 then Error Errno.EPERM
   else begin
     with_write proc (fun () ->
-        let* src_ref = resolve_locked ~flags:(lookup_flags ~must_dir:true ()) proc src in
-        let* dst_ref = resolve_locked ~flags:(lookup_flags ~must_dir:true ()) proc dst in
+        let* src_ref = resolve_locked ?flags:f_dir proc src in
+        let* dst_ref = resolve_locked ?flags:f_dir proc dst in
         Dcache.invalidate_structure (dcache proc) dst_ref.dentry |> ignore;
         let* _mount =
           Mount.attach proc.Proc.ns ~at:dst_ref ~root:src_ref.dentry
@@ -1547,11 +1590,11 @@ let bind_mount ?(readonly = false) proc ~src ~dst =
   end
 
 let umount proc path =
-  sys proc "sys_umount";
+  sys (cells proc).sys_umount;
   if Cred.uid proc.Proc.cred <> 0 then Error Errno.EPERM
   else begin
     with_write proc (fun () ->
-        let* ref_ = resolve_locked ~flags:(lookup_flags ~must_dir:true ()) proc path in
+        let* ref_ = resolve_locked ?flags:f_dir proc path in
         if not (ref_.dentry == ref_.mnt.mnt_root) then Error Errno.EINVAL
         else begin
           Dcache.invalidate_structure (dcache proc) ref_.mnt.mnt_root |> ignore;
@@ -1564,7 +1607,7 @@ let umount proc path =
   end
 
 let unshare_mount_ns proc =
-  sys proc "sys_unshare";
+  sys (cells proc).sys_unshare;
   Dcache.with_write (dcache proc) (fun () ->
       let ns = Mount.clone_namespace proc.Proc.ns in
       proc.Proc.ns <- ns;
@@ -1585,7 +1628,7 @@ let with_dirfd proc dirfd k =
   else k fd.Proc.fd_ref
 
 let mkdirat ?mode proc dirfd path =
-  sys proc "sys_mkdirat";
+  sys (cells proc).sys_mkdirat;
   with_dirfd proc dirfd (fun start ->
       match
         sharded_mkdir ~start ~mode:(Option.value mode ~default:Mode.default_dir) proc path
@@ -1613,7 +1656,7 @@ let mkdirat ?mode proc dirfd path =
             Ok ()))
 
 let unlinkat proc dirfd path =
-  sys proc "sys_unlinkat";
+  sys (cells proc).sys_unlinkat;
   with_dirfd proc dirfd (fun start ->
       match sharded_unlink ~start proc path with
       | Done r -> r
@@ -1647,7 +1690,7 @@ let unlinkat proc dirfd path =
               end)))
 
 let symlinkat proc ~target dirfd path =
-  sys proc "sys_symlinkat";
+  sys (cells proc).sys_symlinkat;
   with_dirfd proc dirfd (fun start ->
       with_write proc (fun () ->
           let* p = resolve_parent_locked ~start proc path in
@@ -1667,23 +1710,28 @@ let symlinkat proc ~target dirfd path =
             Ok ()))
 
 let readlinkat proc dirfd path =
-  sys proc "sys_readlinkat";
+  sys (cells proc).sys_readlinkat;
   with_dirfd proc dirfd (fun start ->
-      let* ref_ = resolve ~start ~flags:(lookup_flags ~follow:false ()) proc path in
+      let* ref_ = resolve ~start ?flags:f_nofollow proc path in
       let* inode = positive_inode ref_.dentry in
       if File_kind.equal (Inode.kind inode) File_kind.Symlink then Inode.symlink_target inode
       else Error Errno.EINVAL)
 
 let faccessat proc dirfd path mask =
-  Systime.timed Systime.Access_stat (fun () ->
-      sys proc "sys_faccessat";
-      with_dirfd proc dirfd (fun start ->
-          resolve_with ~start proc path ~within:(fun ref_ ->
-              let* inode = positive_inode ref_.dentry in
-              permission proc inode mask)))
+  let t0 = Systime.stamp () in
+  sys (cells proc).sys_faccessat;
+  let r =
+    match Proc.find_fd_exn proc dirfd with
+    | fd ->
+      if not (Inode.is_dir fd.Proc.fd_inode) then Errno.to_error Errno.ENOTDIR
+      else resolve_with ?start:fd.Proc.fd_start proc path ~within:(access_within proc mask)
+    | exception Not_found -> Errno.to_error Errno.EBADF
+  in
+  Systime.record_span Systime.Access_stat t0;
+  r
 
 let getcwd proc =
-  sys proc "sys_getcwd";
+  sys (cells proc).sys_getcwd;
   let root = proc.Proc.root in
   let cwd = proc.Proc.cwd in
   if cwd.dentry.d_parent <> None && not cwd.dentry.d_hashed then
@@ -1711,18 +1759,18 @@ let getcwd proc =
    particular not the global write lock a subtree invalidation would
    take. *)
 let invalidate_negatives proc path =
-  sys proc "sys_invalidate_negatives";
+  sys (cells proc).sys_invalidate_negatives;
   let* ref_ = resolve proc path in
   Dcache.invalidate_negatives (dcache proc) ref_.dentry.d_sb;
   Ok ()
 
 let invalidate_path proc path =
-  sys proc "sys_invalidate_path";
+  sys (cells proc).sys_invalidate_path;
   match sharded_invalidate proc path with
   | Done r -> r
   | Legacy ->
     with_write proc (fun () ->
-        let* ref_ = resolve_locked ~flags:(lookup_flags ~follow:false ()) proc path in
+        let* ref_ = resolve_locked ?flags:f_nofollow proc path in
         Dcache.invalidate_structure (dcache proc) ref_.dentry |> ignore;
         Dcache.unhash ~reclaim:true (dcache proc) ref_.dentry;
         Ok ())

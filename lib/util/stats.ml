@@ -215,7 +215,9 @@ module Counter = struct
 
      The key → cell map is an immutable [Map] behind an [Atomic]: lookups
      are lock-free over a persistent snapshot, and the rare first-use
-     insertion CAS-loops.  Cells are never removed, so a cell cached at
+     insertion CAS-loops.  There is deliberately no name-keyed bump: a
+     [Map] walk plus an option per call has no place on a syscall path,
+     so every owner resolves its cells at creation.  Cells are never removed, so a cell cached at
      create time stays valid forever; [reset] zeroes slots in place. *)
 
   let slots = 8
@@ -248,9 +250,6 @@ module Counter = struct
       sum := !sum + Atomic.get c.(i)
     done;
     !sum
-
-  let incr t key = bump (cell t key)
-  let add t key n = bump_by (cell t key) n
 
   let get t key =
     match M.find_opt key (Atomic.get t) with Some c -> cell_value c | None -> 0

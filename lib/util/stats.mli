@@ -81,10 +81,11 @@ module Counter : sig
   val create : unit -> t
 
   val cell : t -> string -> cell
-  (** The counter's underlying cell, created on first use.  Hot paths cache
-      the cell once and {!bump} it — one atomic fetch-and-add on the
-      calling domain's slot, no hashing, no allocation.  Cells stay live
-      across {!reset}. *)
+  (** The counter's underlying cell, created on first use — the only name
+      lookup.  Owners resolve their cells once at creation and {!bump}
+      them: one atomic fetch-and-add on the calling domain's slot, no
+      hashing, no allocation.  A resolved cell lists (at 0) in {!to_assoc}
+      from then on, and stays live across {!reset}. *)
 
   val bump : cell -> unit
   (** Count one on the calling domain's slot.  Allocation-free. *)
@@ -93,8 +94,6 @@ module Counter : sig
   val cell_value : cell -> int
   (** Sum over all domain slots. *)
 
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
   val get : t -> string -> int
 
   val reset : t -> unit

@@ -11,6 +11,67 @@ module Fs_intf = Dcache_fs.Fs_intf
 
 type hooks = { mutable on_shootdown : dentry -> unit }
 
+type cells = {
+  global_write_acquired : Counter.cell;
+  dcache_hit : Counter.cell;
+  dcache_miss : Counter.cell;
+  dcache_evicted : Counter.cell;
+  dcache_quarantined : Counter.cell;
+  negative_created : Counter.cell;
+  neg_evicted : Counter.cell;
+  neg_gen_invalidations : Counter.cell;
+  completeness_set : Counter.cell;
+  completeness_lost : Counter.cell;
+  invalidate_permission_dentries : Counter.cell;
+  invalidate_structure_dentries : Counter.cell;
+  (* slowpath walk (Walk) *)
+  walk_slowpath : Counter.cell;
+  walk_components : Counter.cell;
+  walk_resumed : Counter.cell;
+  walk_resumed_sibling : Counter.cell;
+  walk_refwalk_fallback : Counter.cell;
+  walk_negative_hit : Counter.cell;
+  walk_stale_negative : Counter.cell;
+  complete_dir_negative : Counter.cell;
+  deep_negative_created : Counter.cell;
+  symlink_resolved : Counter.cell;
+  symlink_alias_created : Counter.cell;
+  netfs_revalidate : Counter.cell;
+  netfs_stale_dentry : Counter.cell;
+}
+
+(* Resolved once per dcache: a bump is then one atomic add on a cached
+   cell, never a name lookup. *)
+let make_cells counters =
+  let cell = Counter.cell counters in
+  {
+    global_write_acquired = cell "global_write_acquired";
+    dcache_hit = cell "dcache_hit";
+    dcache_miss = cell "dcache_miss";
+    dcache_evicted = cell "dcache_evicted";
+    dcache_quarantined = cell "dcache_quarantined";
+    negative_created = cell "negative_created";
+    neg_evicted = cell "neg_evicted";
+    neg_gen_invalidations = cell "neg_gen_invalidations";
+    completeness_set = cell "completeness_set";
+    completeness_lost = cell "completeness_lost";
+    invalidate_permission_dentries = cell "invalidate_permission_dentries";
+    invalidate_structure_dentries = cell "invalidate_structure_dentries";
+    walk_slowpath = cell "walk_slowpath";
+    walk_components = cell "walk_components";
+    walk_resumed = cell "walk_resumed";
+    walk_resumed_sibling = cell "walk_resumed_sibling";
+    walk_refwalk_fallback = cell "walk_refwalk_fallback";
+    walk_negative_hit = cell "walk_negative_hit";
+    walk_stale_negative = cell "walk_stale_negative";
+    complete_dir_negative = cell "complete_dir_negative";
+    deep_negative_created = cell "deep_negative_created";
+    symlink_resolved = cell "symlink_resolved";
+    symlink_alias_created = cell "symlink_alias_created";
+    netfs_revalidate = cell "netfs_revalidate";
+    netfs_stale_dentry = cell "netfs_stale_dentry";
+  }
+
 type t = {
   config : Config.t;
   buckets : dentry list Atomic.t array;
@@ -55,6 +116,7 @@ type t = {
           slot when unsharded — everything is then under the write lock. *)
   hooks : hooks;
   counters : Counter.t;
+  cells : cells;
 }
 
 (* Global generators.  Dentry ids model kernel virtual addresses (unique,
@@ -71,6 +133,7 @@ let create config =
     && config.Config.dcache_stripes > 0
     && config.Config.dotdot = Config.Dotdot_linux
   in
+  let counters = Counter.create () in
   {
     config;
     buckets = Array.init config.Config.dcache_buckets (fun _ -> Atomic.make []);
@@ -92,12 +155,14 @@ let create config =
         (if sharded then config.Config.dcache_stripes else 1)
         (fun _ -> Dlist.create ());
     hooks = { on_shootdown = (fun _ -> ()) };
-    counters = Counter.create ();
+    counters;
+    cells = make_cells counters;
   }
 
 let config t = t.config
 let hooks t = t.hooks
 let counters t = t.counters
+let cells t = t.cells
 let lock t = t.lock
 let rename_lock t = t.rename_lock
 let write_seq t = t.write_seq
@@ -116,7 +181,7 @@ let with_write t f =
      funnels through the exclusive lock (Legacy bailouts, eviction, DLHT
      grow, subtree invalidation too wide to stripe) shows up here, surfaced
      in /proc/dcache/stripes so the sharding follow-ons can be tracked. *)
-  Counter.incr t.counters "global_write_acquired";
+  Counter.bump t.cells.global_write_acquired;
   Seqcount.write_begin t.write_seq;
   match f () with
   | result ->
@@ -250,7 +315,7 @@ let lookup t parent name =
   match scan (Atomic.get t.buckets.(idx)) with
   | Some d ->
     d.d_last_used <- Atomic.get t.tick;
-    Counter.incr t.counters "dcache_hit";
+    Counter.bump t.cells.dcache_hit;
     Some d
   | None -> None
 
@@ -372,7 +437,7 @@ let detach ?(reclaim = true) t d =
     Dlist.remove parent.d_children node;
     if reclaim && parent.d_complete then begin
       parent.d_complete <- false;
-      Counter.incr t.counters "completeness_lost"
+      Counter.bump t.cells.completeness_lost
     end
   | _ -> ());
   d.d_sibling <- None;
@@ -402,7 +467,7 @@ let rec neg_shrink t list cap =
       victim.d_neg <- None;
       if dentry_is_negative victim && evictable victim && victim.d_hashed then begin
         detach ~reclaim:false t victim;
-        Counter.incr t.counters "neg_evicted"
+        Counter.bump t.cells.neg_evicted
       end;
       neg_shrink t list cap
   end
@@ -443,7 +508,7 @@ let negative_current d =
 
 let invalidate_negatives t sb =
   sb.sb_neg_gen <- sb.sb_neg_gen + 1;
-  Counter.incr t.counters "neg_gen_invalidations"
+  Counter.bump t.cells.neg_gen_invalidations
 
 let neg_list_cap t = t.config.Config.neg_list_cap
 let neg_occupancy t = Array.map Dlist.length t.neg_lists
@@ -478,7 +543,7 @@ let evict_some t want =
         Dlist.push_back t.clock node;
         d.d_lru <- Some node;
         detach t d;
-        Counter.incr t.counters "dcache_evicted";
+        Counter.bump t.cells.dcache_evicted;
         incr evicted
       end
   done;
@@ -499,7 +564,7 @@ let purge t =
         Dlist.push_front t.clock node;
         if evictable d then begin
           detach t d;
-          Counter.incr t.counters "dcache_evicted";
+          Counter.bump t.cells.dcache_evicted;
           incr evicted
         end
     done;
@@ -581,7 +646,7 @@ let should_cache_negatives t sb =
   sb.sb_fs.Fs_intf.negative_dentries || t.config.Config.aggressive_negative
 
 let fill t parent name =
-  Counter.incr t.counters "dcache_miss";
+  Counter.bump t.cells.dcache_miss;
   (* §3.8: misses are attributed here, directory-precise and config-
      agnostic (every kernel flavor funnels cold lookups through fill),
      rather than in the fastpath fallback, which would double count. *)
@@ -596,7 +661,7 @@ let fill t parent name =
       Ok (alloc_child t parent name (Positive inode))
     | Error Errno.ENOENT ->
       if should_cache_negatives t sb then begin
-        Counter.incr t.counters "negative_created";
+        Counter.bump t.cells.negative_created;
         Ok (alloc_child t parent name (Negative Errno.ENOENT))
       end
       else Error Errno.ENOENT
@@ -634,7 +699,7 @@ let invalidate_permissions t dir =
     Atomic.incr t.invalidation;
     Trace.stamp Trace.ev_inval_chmod !visited;
     if !Profiler.armed then Profiler.hh_record dir.d_id dir.d_name Profiler.m_inval;
-    Counter.add t.counters "invalidate_permission_dentries" !visited;
+    Counter.bump_by t.cells.invalidate_permission_dentries !visited;
     !visited
   end
 
@@ -662,7 +727,7 @@ let invalidate_structure t dentry =
        match dentry.d_parent with
        | Some p -> Profiler.hh_record p.d_id p.d_name Profiler.m_inval
        | None -> Profiler.hh_record dentry.d_id dentry.d_name Profiler.m_inval);
-    Counter.add t.counters "invalidate_structure_dentries" !visited;
+    Counter.bump_by t.cells.invalidate_structure_dentries !visited;
     !visited
   end
 
@@ -687,7 +752,7 @@ let make_negative t d errno =
   d.d_alias <- None;
   d.d_target_sig <- None;
   neg_note_created t d;
-  Counter.incr t.counters "negative_created"
+  Counter.bump t.cells.negative_created
 
 let note_unlinked t d =
   match d.d_parent with
@@ -824,7 +889,7 @@ let scrub t =
         incr quarantined;
         Trace.bump_cause Trace.cause_quarantined;
         Trace.stamp Trace.ev_quarantine d.d_id;
-        Counter.incr t.counters "dcache_quarantined"
+        Counter.bump t.cells.dcache_quarantined
       end)
     !bad;
   {
@@ -842,7 +907,7 @@ let prune_children t d = drop_children t d
 let set_complete t d =
   if t.config.Config.dir_completeness && dentry_is_dir d then begin
     d.d_complete <- true;
-    Counter.incr t.counters "completeness_set"
+    Counter.bump t.cells.completeness_set
   end
 
 let clear_complete d = d.d_complete <- false

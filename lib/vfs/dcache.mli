@@ -21,12 +21,45 @@ type hooks = {
           any direct-lookup state (DLHT entry, signature). *)
 }
 
+(** The dcache's and the slowpath walk's counter cells, resolved once by
+    {!create}; each field bumps the counter of the same name.  Resolved
+    cells list (at 0) in {!counters} from creation on. *)
+type cells = {
+  global_write_acquired : Dcache_util.Stats.Counter.cell;
+  dcache_hit : Dcache_util.Stats.Counter.cell;
+  dcache_miss : Dcache_util.Stats.Counter.cell;
+  dcache_evicted : Dcache_util.Stats.Counter.cell;
+  dcache_quarantined : Dcache_util.Stats.Counter.cell;
+  negative_created : Dcache_util.Stats.Counter.cell;
+  neg_evicted : Dcache_util.Stats.Counter.cell;
+  neg_gen_invalidations : Dcache_util.Stats.Counter.cell;
+  completeness_set : Dcache_util.Stats.Counter.cell;
+  completeness_lost : Dcache_util.Stats.Counter.cell;
+  invalidate_permission_dentries : Dcache_util.Stats.Counter.cell;
+  invalidate_structure_dentries : Dcache_util.Stats.Counter.cell;
+  (* slowpath walk (Walk) *)
+  walk_slowpath : Dcache_util.Stats.Counter.cell;
+  walk_components : Dcache_util.Stats.Counter.cell;
+  walk_resumed : Dcache_util.Stats.Counter.cell;
+  walk_resumed_sibling : Dcache_util.Stats.Counter.cell;
+  walk_refwalk_fallback : Dcache_util.Stats.Counter.cell;
+  walk_negative_hit : Dcache_util.Stats.Counter.cell;
+  walk_stale_negative : Dcache_util.Stats.Counter.cell;
+  complete_dir_negative : Dcache_util.Stats.Counter.cell;
+  deep_negative_created : Dcache_util.Stats.Counter.cell;
+  symlink_resolved : Dcache_util.Stats.Counter.cell;
+  symlink_alias_created : Dcache_util.Stats.Counter.cell;
+  netfs_revalidate : Dcache_util.Stats.Counter.cell;
+  netfs_stale_dentry : Dcache_util.Stats.Counter.cell;
+}
+
 type t
 
 val create : Config.t -> t
 val config : t -> Config.t
 val hooks : t -> hooks
 val counters : t -> Dcache_util.Stats.Counter.t
+val cells : t -> cells
 val lock : t -> Dcache_util.Rwlock.t
 val rename_lock : t -> Dcache_util.Seqcount.t
 

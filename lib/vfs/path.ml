@@ -22,6 +22,16 @@ let split path =
     convert [] parts
   end
 
+(* Top-level tail recursion over ints: a [String.iter] closure capturing
+   its counters would allocate per call on the syscall entry. *)
+let rec count_from path len i in_comp acc =
+  if i >= len then acc
+  else if String.unsafe_get path i = '/' then count_from path len (i + 1) false acc
+  else if in_comp then count_from path len (i + 1) true acc
+  else count_from path len (i + 1) true (acc + 1)
+
+let count_components path = count_from path (String.length path) 0 false 0
+
 let is_absolute path = String.length path > 0 && path.[0] = '/'
 
 let has_trailing_slash path =

@@ -9,6 +9,11 @@ val split : string -> (component list, Dcache_types.Errno.t) result
 (** Split on ['/'], dropping empty components; validates length limits.
     An empty path yields [ENOENT] per POSIX. *)
 
+val count_components : string -> int
+(** Number of non-empty runs of non-['/'] bytes — the per-lookup component
+    tally of the paper's Table 1 (["."] and [".."] count).  No validation,
+    no allocation. *)
+
 val is_absolute : string -> bool
 val has_trailing_slash : string -> bool
 

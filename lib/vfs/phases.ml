@@ -39,11 +39,12 @@ let record phase ns =
   acc.(i) <- acc.(i) + ns;
   counts.(i) <- counts.(i) + 1
 
-(** {2 Direct stamping (fastpath)}
+(** {2 Stamping}
 
-    [timed] wraps the phase in a closure, which the probe path cannot afford
-    (each closure captures its environment and allocates).  The fastpath
-    instead takes raw stamps and charges the span explicitly:
+    A closure combinator wrapping each phase would capture its environment
+    and allocate per call (two closures per slowpath component in the
+    walk).  Every site instead takes a raw stamp and charges the span
+    explicitly:
     {[
       let t0 = Phases.stamp () in
       ... phase body ...
@@ -56,17 +57,5 @@ let[@inline] stamp () = if !enabled then Dcache_util.Clock.now_int_ns () else 0
 
 let[@inline] record_span phase t0 =
   if !enabled then record phase (Dcache_util.Clock.now_int_ns () - t0)
-
-(** [timed phase f] runs [f], charging its duration to [phase] when
-    instrumentation is enabled.  Convenient for the slowpath walk, where the
-    closure cost is noise. *)
-let timed phase f =
-  if not !enabled then f ()
-  else begin
-    let t0 = Dcache_util.Clock.now_int_ns () in
-    let result = f () in
-    record phase (Dcache_util.Clock.now_int_ns () - t0);
-    result
-  end
 
 let totals () = List.map (fun p -> (p, Int64.of_int acc.(index p))) all

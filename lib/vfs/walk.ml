@@ -18,6 +18,9 @@ type mode = Rcu | Ref
 type flags = { follow_last : bool; must_dir : bool; collect : bool }
 
 let default_flags = { follow_last = true; must_dir = false; collect = false }
+let nofollow_flags = { default_flags with follow_last = false }
+let dir_flags = { default_flags with must_dir = true }
+let nofollow_dir_flags = { follow_last = false; must_dir = true; collect = false }
 
 type result_ = {
   outcome : (path_ref, Errno.t) result;
@@ -58,7 +61,9 @@ let check_exec ctx inode =
   Lsm.permission ctx.registry ctx.cred (Inode.attr inode) Access.may_exec
 
 let may_lookup ctx inode =
-  let allowed = Phases.timed Phases.Permission (fun () -> check_exec ctx inode) in
+  let t0 = Phases.stamp () in
+  let allowed = check_exec ctx inode in
+  Phases.record_span Phases.Permission t0;
   if not allowed then raise (Walk_error Errno.EACCES)
 
 (* Require a positive directory to descend into; promotes Partial dentries
@@ -118,12 +123,12 @@ let revalidate_hit mode t child =
     match ino with
     | None -> true (* stateless clients do not cache negatives *)
     | Some ino -> (
-      Counter.incr (Dcache.counters t) "netfs_revalidate";
+      Counter.bump (Dcache.cells t).netfs_revalidate;
       match check ino with
       | Ok true -> true
       | Ok false | Error _ ->
         if mode = Rcu then raise Need_refwalk;
-        Counter.incr (Dcache.counters t) "netfs_stale_dentry";
+        Counter.bump (Dcache.cells t).netfs_stale_dentry;
         (* A stale child proves the parent's cached listing diverged from
            the server; its completeness claim cannot survive, or the refill
            below would be answered ENOENT from the cache itself. *)
@@ -135,7 +140,9 @@ let revalidate_hit mode t child =
 
 (* The dcache probe + miss fill for one component. *)
 let step mode t (cur : path_ref) name =
-  let cached = Phases.timed Phases.Table_lookup (fun () -> Dcache.lookup t cur.dentry name) in
+  let t0 = Phases.stamp () in
+  let cached = Dcache.lookup t cur.dentry name in
+  Phases.record_span Phases.Table_lookup t0;
   (* Per-mount negative invalidation: a negative earned under an older
      generation is a miss, and a Ref walk drops it so the refill below can
      re-earn the verdict (Rcu leaves the cleanup to the next Ref walk —
@@ -144,7 +151,7 @@ let step mode t (cur : path_ref) name =
     match cached with
     | Some child when dentry_is_negative child && not (Dcache.negative_current child) ->
       if mode = Ref then begin
-        Counter.incr (Dcache.counters t) "walk_stale_negative";
+        Counter.bump (Dcache.cells t).walk_stale_negative;
         Dcache.unhash t child
       end;
       None
@@ -152,7 +159,7 @@ let step mode t (cur : path_ref) name =
   in
   match cached with
   | Some child when revalidate_hit mode t child ->
-    if dentry_is_negative child then Counter.incr (Dcache.counters t) "walk_negative_hit";
+    if dentry_is_negative child then Counter.bump (Dcache.cells t).walk_negative_hit;
     Some child
   | Some _ (* stale and dropped: fall through to a fresh fill *)
   | None ->
@@ -160,7 +167,7 @@ let step mode t (cur : path_ref) name =
       (* A complete directory answers misses definitively without consulting
          the file system (§5.1).  In Rcu mode skip caching the negative; the
          answer is still correct. *)
-      Counter.incr (Dcache.counters t) "complete_dir_negative";
+      Counter.bump (Dcache.cells t).complete_dir_negative;
       Trace.stamp Trace.ev_complete_neg 0;
       if !Profiler.armed then
         Profiler.hh_record cur.dentry.d_id cur.dentry.d_name Profiler.m_neg;
@@ -199,7 +206,7 @@ let build_deep_negatives mode t d errno rest ~record =
         | None -> (
           match Dcache.add_child t parent name (Negative errno) with
           | Ok child ->
-            Counter.incr (Dcache.counters t) "deep_negative_created";
+            Counter.bump (Dcache.cells t).deep_negative_created;
             record child;
             chain child more
           | Error _ -> ()))
@@ -230,7 +237,7 @@ let get_or_make_alias mode t alias_parent name real =
       match Dcache.add_child t alias_parent name real.d_state with
       | Ok a ->
         a.d_alias <- Some real;
-        Counter.incr (Dcache.counters t) "symlink_alias_created";
+        Counter.bump (Dcache.cells t).symlink_alias_created;
         Some a
       | Error _ -> None
     end
@@ -244,8 +251,8 @@ let split_components config path =
 
 let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
   let config = Dcache.config t in
-  let counters = Dcache.counters t in
-  Counter.incr counters "walk_slowpath";
+  let cells = Dcache.cells t in
+  Counter.bump cells.walk_slowpath;
   Trace.stamp Trace.ev_slowpath 0;
   let visited = ref [] in
   let push r = if flags.collect then visited := r :: !visited in
@@ -256,15 +263,16 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
     match start_at with Some _ -> false | None -> Path.is_absolute path
   in
   let trailing_slash = Path.has_trailing_slash path in
-  let items =
-    Phases.timed Phases.Scan_hash (fun () -> items_of (split_components config path))
-  in
+  let t0 = Phases.stamp () in
+  let items = items_of (split_components config path) in
+  Phases.record_span Phases.Scan_hash t0;
+  let t0 = Phases.stamp () in
   let start =
-    Phases.timed Phases.Init (fun () ->
-        match start_at with
-        | Some r -> r
-        | None -> if absolute then Mount.traverse_mounts ctx.root else ctx.cwd)
+    match start_at with
+    | Some r -> r
+    | None -> if absolute then Mount.traverse_mounts ctx.root else ctx.cwd
   in
+  Phases.record_span Phases.Init t0;
   (* [alias] is the current literal dentry when the walk has passed through
      a symlink; [None] when literal = real. *)
   let rec loop (cur : path_ref) alias depth items =
@@ -291,7 +299,7 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
   and handle_name (cur : path_ref) alias depth name rest =
     (* Per-component accounting: lets the deepmiss benchmark verify that a
        prefix-resumed miss walks only the uncached suffix. *)
-    Counter.incr counters "walk_components";
+    Counter.bump cells.walk_components;
     let is_last = no_more_components rest in
     match step mode t cur name with
     | None ->
@@ -323,7 +331,7 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
             | Error e -> raise (Walk_error e)
           in
           let target_items = items_of (split_components config target) in
-          Counter.incr counters "symlink_resolved";
+          Counter.bump cells.symlink_resolved;
           (* Literal dentry standing for this symlink in the lookup path;
              the spliced target components are walked with no alias chain
              and the literal chain resumes afterwards. *)
@@ -368,13 +376,14 @@ let walk_internal mode t ctx ~flags ~stop_at_parent ?start_at path =
   match finished with
   | `Err e -> `Resolved { outcome = Error e; visited = List.rev !visited; absolute }
   | `Final cur ->
+    let t0 = Phases.stamp () in
     let final =
-      Phases.timed Phases.Finalize (fun () ->
-          if flags.must_dir || trailing_slash then begin
-            if dentry_is_dir cur.dentry then cur else raise (Walk_error Errno.ENOTDIR)
-          end
-          else cur)
+      if flags.must_dir || trailing_slash then begin
+        if dentry_is_dir cur.dentry then cur else raise (Walk_error Errno.ENOTDIR)
+      end
+      else cur
     in
+    Phases.record_span Phases.Finalize t0;
     `Resolved { outcome = Ok final; visited = List.rev !visited; absolute }
   | `Parent (cur, name) ->
     (* Parent-style termination: [cur] is the containing directory; the
@@ -406,7 +415,7 @@ let resolve_in_mode mode t ctx ?(flags = default_flags) path =
    [absolute] is false, so the caller's population applies the
    directory-reference rule against [start_at]. *)
 let resolve_resumed t ctx ?(flags = default_flags) ~start_at suffix =
-  Counter.incr (Dcache.counters t) "walk_resumed";
+  Counter.bump (Dcache.cells t).walk_resumed;
   try
     match walk_internal Ref t ctx ~flags ~stop_at_parent:false ~start_at suffix with
     | `Resolved r -> r
@@ -428,7 +437,7 @@ let resolve_resumed t ctx ?(flags = default_flags) ~start_at suffix =
    has re-validated [start_at] under it, exactly as for
    {!resolve_resumed}. *)
 let resume_sibling t ctx ~start_at ~follow name =
-  Counter.incr (Dcache.counters t) "walk_resumed_sibling";
+  Counter.bump (Dcache.cells t).walk_resumed_sibling;
   try
     let dir = dir_inode_of Ref start_at.dentry in
     may_lookup ctx dir;
@@ -450,7 +459,7 @@ let resolve t ctx ?(flags = default_flags) path =
   match Dcache.with_read t (fun () -> resolve_in_mode Rcu t ctx ~flags path) with
   | result -> result
   | exception Need_refwalk ->
-    Counter.incr (Dcache.counters t) "walk_refwalk_fallback";
+    Counter.bump (Dcache.cells t).walk_refwalk_fallback;
     Trace.bump_cause Trace.cause_seqcount_retry;
     Trace.stamp Trace.ev_refwalk 0;
     Dcache.with_write t (fun () -> resolve_in_mode Ref t ctx ~flags path)

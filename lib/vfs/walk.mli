@@ -35,6 +35,15 @@ type flags = {
 val default_flags : flags
 (** [{follow_last = true; must_dir = false; collect = false}] *)
 
+val nofollow_flags : flags
+(** {!default_flags} without following a trailing symlink (lstat). *)
+
+val dir_flags : flags
+(** {!default_flags} with [must_dir] (chdir, directory prefixes). *)
+
+val nofollow_dir_flags : flags
+(** [must_dir] without following a trailing symlink. *)
+
 type result_ = {
   outcome : (path_ref, Dcache_types.Errno.t) result;
       (** The final (mount, dentry), after mount traversal; negative results

@@ -726,6 +726,45 @@ let test_warm_batch_zero_alloc () =
     Alcotest.(check bool) (Printf.sprintf "slot %d still ok" i) true (Batch.ok ring i)
   done
 
+(* --- syscall-entry allocation bounds ---
+
+   The syscall front end around the probe keeps the probe's discipline: a
+   warm hit allocates its result and, where the call needs one, a single
+   partial application — counters are cells, the walk context is the
+   process's cached one, lookup flags and the dirfd's [?start] are
+   preallocated options, and wall-clock classing takes stamps.  Per-call
+   bounds, in minor words, on an 8-component path:
+   - stat, lstat, fstatat: the returned [Ok attr] (2);
+   - access, faccessat: the [within] partial application over
+     (proc, mask) — 7 words on OCaml 5.1 — under a bound of 8 that leaves
+     room for the closure layout of other compiler versions. *)
+
+let test_warm_syscall_alloc_bounds () =
+  let kernel, p = ram_kernel ~config:Config.optimized () in
+  let dir = "/s1/s2/s3/s4/s5/s6/s7" in
+  let path = dir ^ "/target" in
+  get "tree" (S.mkdir_p p dir);
+  get "file" (S.write_file p path "payload");
+  let dirfd = get "dirfd" (S.openf p "/s1/s2/s3" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
+  let rel = "s4/s5/s6/s7/target" in
+  let iters = 2_000 in
+  let check name bound f =
+    f ();
+    (* warmed: from here on every call must be a DLHT hit *)
+    let h0 = counter kernel "fastpath_hit" in
+    let words = measure_minor_words iters f /. float_of_int iters in
+    Alcotest.(check int) (name ^ ": every call a fastpath hit") (iters + 2)
+      (counter kernel "fastpath_hit" - h0);
+    if words > bound then
+      Alcotest.failf "%s: %.2f minor words per warm call, bound %.0f" name words bound
+  in
+  let ok what = function Ok _ -> () | Error e -> Alcotest.failf "%s: %s" what (Errno.to_string e) in
+  check "stat" 2.0 (fun () -> ok "stat" (S.stat p path));
+  check "lstat" 2.0 (fun () -> ok "lstat" (S.lstat p path));
+  check "fstatat" 2.0 (fun () -> ok "fstatat" (S.fstatat p dirfd rel ()));
+  check "access" 8.0 (fun () -> ok "access" (S.access p path Access.may_read));
+  check "faccessat" 8.0 (fun () -> ok "faccessat" (S.faccessat p dirfd rel Access.may_read))
+
 (* --- §5.1 cache-fed readdir allocation discipline ---
 
    The whole-listing scratch fill is the dirent analogue of the warm hit:
@@ -840,6 +879,8 @@ let suite =
   [
     Alcotest.test_case "warm fastpath hit allocates zero minor words" `Quick
       test_warm_hit_zero_alloc;
+    Alcotest.test_case "warm syscall entry allocates only its result" `Quick
+      test_warm_syscall_alloc_bounds;
     Alcotest.test_case "warm DIR_COMPLETE readdir fill allocates zero minor words" `Quick
       test_warm_readdir_fill_zero_alloc;
     Alcotest.test_case "negative lists stay bounded under a stat storm" `Quick

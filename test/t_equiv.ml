@@ -470,6 +470,42 @@ let probe_obs ring k pr =
     name ^ ":ok:" ^ body
   else name ^ ":" ^ Errno.to_string (Batch.errno ring k)
 
+(* Table-1 path statistics: a ring counts every op's lookup, bytes and
+   components exactly as the same calls issued one by one — hits, misses,
+   relative paths, dot-dot and redundant slashes alike. *)
+let batch_path_stats_test =
+  Alcotest.test_case "batched path statistics == sequential" `Quick (fun () ->
+      let fs = Dcache_fs.Ramfs.create () in
+      let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
+      let p = Proc.spawn kernel in
+      Kit.get "tree" (S.mkdir_p p "/a/b/c");
+      Kit.get "file" (S.write_file p "/a/b/c/f" "x");
+      Kit.get "link" (S.symlink p ~target:"/a/b" "/a/lnk");
+      Kit.get "cwd" (S.chdir p "/a");
+      let probes =
+        [
+          PStat "/a/b/c/f"; PLstat "/a/lnk"; PAccess "b/c/f"; PStat "//a//b/./c/";
+          PStat "/a/b/../b/c/f"; PLstat "/a/b/nope"; PAccess "/a/b/c/f/deeper";
+          PStat "lnk/c/f"; PStat "."; PStat "/";
+        ]
+      in
+      let names = [ "path_lookup"; "path_bytes"; "path_comps" ] in
+      let snap () = List.map (Kit.counter kernel) names in
+      let delta f =
+        let before = snap () in
+        f ();
+        List.map2 ( - ) (snap ()) before
+      in
+      let sequential = delta (fun () -> List.iter (fun pr -> ignore (probe_sequential p pr)) probes) in
+      let ring = Batch.create ~cap:16 p in
+      let batched =
+        delta (fun () ->
+            List.iter (probe_push ring) probes;
+            Batch.submit ring)
+      in
+      Alcotest.(check int) "one lookup per op" (List.length probes) (List.hd sequential);
+      Alcotest.(check (list int)) "lookups, bytes, components" sequential batched)
+
 let batch_equiv_churn_test seed =
   Alcotest.test_case
     (Printf.sprintf "batched == sequential under churn [seed %d]" seed) `Quick
@@ -783,6 +819,30 @@ let readdir_equiv_property =
         ("/" :: List.concat_map op_paths ops);
       true)
 
+(* Golden counter snapshot: one fixed single-domain trace (the generator
+   above at a fixed seed) must leave exactly the recorded non-zero
+   [Kernel.stats_snapshot].  Pins every counter name and value across
+   refactors of how counters are resolved and bumped — perfbench and the
+   [/proc] readers look counters up by these names. *)
+let golden_seed = 2015
+
+let golden_trace () =
+  QCheck.Gen.generate1 ~rand:(Random.State.make [| golden_seed |])
+    QCheck.Gen.(list_size (return 400) op_gen)
+
+let golden_snapshot config =
+  let fs = Dcache_fs.Ramfs.create () in
+  let kernel = Kernel.create ~config ~root_fs:fs () in
+  let root_p = Proc.spawn kernel in
+  let user_p = Proc.spawn ~cred:(Cred.make ~uid:1000 ~gid:1000 ()) kernel in
+  List.iter (fun op -> ignore (run_op root_p user_p op)) (golden_trace ());
+  List.filter (fun (_, v) -> v <> 0) (Kernel.stats_snapshot kernel)
+
+let golden_test label config expected =
+  Alcotest.test_case ("golden counter snapshot [" ^ label ^ "]") `Quick (fun () ->
+      Alcotest.(check (list (pair string int)))
+        "non-zero counters after the fixed trace" expected (golden_snapshot config))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest (equivalence_test "optimized" Config.optimized);
@@ -800,6 +860,8 @@ let suite =
       (equivalence_test "tiny-cache eviction"
          { Config.optimized with Config.max_dentries = 16 });
     QCheck_alcotest.to_alcotest idempotence_test;
+    golden_test "baseline" Config.baseline Golden_counters.baseline;
+    golden_test "optimized" Config.optimized Golden_counters.optimized;
     prefix_resume_churn_test 1;
     prefix_resume_churn_test 1337;
     prefix_resume_churn_test 9001;
@@ -809,6 +871,7 @@ let suite =
     profiling_transparency_test 1337;
     profiling_transparency_test 9001;
     QCheck_alcotest.to_alcotest profiling_transparency_property;
+    batch_path_stats_test;
     batch_equiv_churn_test 1;
     batch_equiv_churn_test 1337;
     batch_equiv_churn_test 9001;

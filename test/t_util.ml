@@ -254,16 +254,19 @@ let test_trace_causes_and_latency () =
 
 let test_counter () =
   let c = Stats.Counter.create () in
-  Stats.Counter.incr c "a";
-  Stats.Counter.incr c "a";
-  Stats.Counter.add c "b" 5;
+  let a = Stats.Counter.cell c "a" in
+  Stats.Counter.bump a;
+  Stats.Counter.bump (Stats.Counter.cell c "a");
+  Stats.Counter.bump_by (Stats.Counter.cell c "b") 5;
   Alcotest.(check int) "a" 2 (Stats.Counter.get c "a");
   Alcotest.(check int) "b" 5 (Stats.Counter.get c "b");
   Alcotest.(check int) "missing" 0 (Stats.Counter.get c "zzz");
   Alcotest.(check (list (pair string int))) "assoc" [ ("a", 2); ("b", 5) ]
     (Stats.Counter.to_assoc c);
   Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.get c "a")
+  Alcotest.(check int) "reset" 0 (Stats.Counter.get c "a");
+  Stats.Counter.bump a;
+  Alcotest.(check int) "cell survives reset" 1 (Stats.Counter.cell_value a)
 
 let test_vclock () =
   let v = Vclock.create () in

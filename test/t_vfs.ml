@@ -275,8 +275,36 @@ let suite =
 
 module Path = Dcache_vfs.Path
 
+(* The per-lookup component tally (Table 1) against its reference
+   definition, written the obvious way: non-empty runs of non-'/' bytes.
+   The kernel's "path_comps" counter must move by the same amount per
+   lookup. *)
+let reference_comps path =
+  let comps = ref 0 and in_comp = ref false in
+  String.iter
+    (fun ch ->
+      if ch = '/' then in_comp := false
+      else if not !in_comp then begin
+        in_comp := true;
+        incr comps
+      end)
+    path;
+  !comps
+
+let count_components_property =
+  let kernel, p = ram_kernel ~config:Config.optimized () in
+  QCheck.Test.make ~name:"path_comps counts non-empty runs of non-'/' bytes" ~count:500
+    QCheck.(string_gen_of_size Gen.(int_range 0 40) (Gen.oneofl [ 'a'; '/'; '.' ]))
+    (fun path ->
+      let expected = reference_comps path in
+      let before = counter kernel "path_comps" in
+      ignore (S.stat p path);
+      Path.count_components path = expected
+      && counter kernel "path_comps" - before = expected)
+
 let path_suite =
   [
+    QCheck_alcotest.to_alcotest count_components_property;
     Alcotest.test_case "path split basics" `Quick (fun () ->
         let comps path =
           match Path.split path with

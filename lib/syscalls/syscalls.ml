@@ -99,43 +99,6 @@ let resolve_locked ?flags proc path =
 
 let with_write proc f = Dcache.with_write (dcache proc) f
 
-let parent_dir_inode (p : Walk.parent_result) = positive_inode p.Walk.parent.dentry
-
-let check_write_dir proc (p : Walk.parent_result) =
-  if p.Walk.parent.mnt.mnt_readonly then Error Errno.EROFS
-  else begin
-    let* dir_inode = parent_dir_inode p in
-    permission proc dir_inode (Access.union Access.may_write Access.may_exec)
-  end
-
-(* Instantiate a freshly created child in the dcache.  Creating a
-   non-directory over a cached negative dentry evicts any deep negative
-   children; a new directory is empty, so deep negatives below it stay
-   valid (§5.2). *)
-let instantiate proc (p : Walk.parent_result) (attr : Attr.t) =
-  let d = dcache proc in
-  let parent = p.Walk.parent.dentry in
-  let inode = Dcache.iget parent.d_sb attr in
-  Dcache.bump_dir_gen parent;
-  match p.Walk.child with
-  | Some child when dentry_is_negative child ->
-    if not (File_kind.equal attr.Attr.kind File_kind.Directory) then
-      Dcache.prune_children d child;
-    Dcache.neg_forget d child;
-    child.d_state <- Positive inode;
-    child.d_target_sig <- None;
-    child
-  | Some child ->
-    child.d_state <- Positive inode;
-    child.d_target_sig <- None;
-    child
-  | None -> (
-    match Dcache.add_child d parent p.Walk.last (Positive inode) with
-    | Ok child -> child
-    | Error _ -> assert false)
-
-let map_fs_result result = Result.map_error (fun e -> e) result
-
 (* --- metadata ---
 
    The warm stat/access family allocates only its result: the lookup runs
@@ -256,35 +219,39 @@ let finish_open proc flags (ref_ : path_ref) =
   in
   Ok fd.Proc.fd_num
 
-(* --- the sharded mutation path ---
+(* --- the mutation engine ---
 
-   With [dcache_stripes > 0] (and the fastpath on, Linux dot-dot mode) the
-   three churn-critical mutations — regular-file create, unlink and rename —
-   run under the dcache lock's {e read} side plus the parent directory's
-   stripe(s) instead of the exclusive write lock, so writer domains mutating
-   different directories proceed concurrently.  Anything off the happy path
-   (uncached parents or children, [Partial] dentries, directories, extra
-   hard links, mountpoints, deep-negative subtrees, cross-sb renames) falls
-   back to the classic write-locked implementation: [Legacy] means "take
+   Every namespace mutation runs as resolve → plan footprint → lock →
+   validate → body, written once.  With [dcache_stripes > 0] (and the
+   fastpath on, Linux dot-dot mode) the containing directory is resolved
+   with no lock held; the section then takes the dcache lock's read side
+   plus the parent's stripe, the parent's and the peeked child's, or both
+   parents' (rename), so writer domains mutating different directories
+   proceed concurrently.  Under the stripes the parent must still be a
+   cached positive directory and the op's plan must accept the cached
+   shape.  Any shape it rejects (uncached parents or children, [Partial]
+   dentries, directories, extra hard links, mountpoints, deep-negative
+   subtrees, cross-sb renames) runs the same body under the exclusive
+   write lock, on a target from the ordinary locked walk; so does every
+   mutation of an unsharded configuration.  Plan rejection means "take
    the big lock", never "fail".
 
-   Lock order inside a sharded section: rwlock read side, then the parent
-   directory stripe(s) — two at once only through [Locktab.lock2]'s index
-   ordering — then leaf locks (the DLHT stripe inside [Dlht] splices,
-   [lru_mu], [icache_mu]).  Eviction cannot run here (the clock walk
-   crosses stripes), so capacity enforcement is deferred to
+   Lock order inside a stripe section: rwlock read side, then the
+   stripe(s) — two at once only through [Locktab.lock2]'s index ordering —
+   then leaf locks (the DLHT stripe inside [Dlht] splices, [lru_mu],
+   [icache_mu]).  Eviction cannot run here (the clock walk crosses
+   stripes), so capacity enforcement is deferred to
    [Dcache.reclaim_overflow] after every lock is dropped. *)
 
-type 'a attempt = Done of 'a r | Legacy
-
-(* Crash-fault coverage for the stripe-locked sections: a [Fault.crash_point]
-   sits between each stripe's seqcount bump (inside [Locktab.lock]) and the
-   dcache splice.  A firing site raises {!Fault.Crash} out of the section;
-   the handlers below release the stripe(s) and the read lock on the way out
-   — a leaked stripe would leave its seqcount odd, wedging every later
-   lockless probe that records it and deadlocking [Kernel.scrub]'s
-   [with_write].  Sites default to [Off]; [install_crash_sites] registers
-   them on a caller-owned injector. *)
+(* Crash-fault coverage for the stripe sections: a [Fault.crash_point]
+   sits between the stripes' seqcount bump (inside [Locktab.lock2]) and the
+   body.  A firing site raises {!Fault.Crash} out of the section, which
+   releases its stripe(s) and the read lock on the way out, exactly as a
+   kernel oops handler unwinds held spinlocks — a leaked stripe would
+   leave its seqcount odd, wedging every later lockless probe that records
+   it and deadlocking [Kernel.scrub]'s [with_write].  Sites default to
+   [Off]; [install_crash_sites] registers them on a caller-owned
+   injector. *)
 type crash_sites = {
   cs_create : Fault.site;
   cs_unlink : Fault.site;
@@ -316,9 +283,28 @@ let clear_crash_sites () =
   Readdir.clear_crash_site ()
 let[@inline] crash_point pick = match !crash_sites with None -> () | Some cs -> Fault.crash_point (pick cs)
 
+(* What a mutation body runs on: the containing directory ([at]) and its
+   inode, validated a positive directory; the final name; its cached child,
+   if any; and whether the body runs under stripes or the write lock. *)
+type target = {
+  at : path_ref;
+  dir : Inode.t;
+  name : string;
+  child : dentry option;
+  striped : bool;
+}
+
+(* The write-locked footprint's target, from the ordinary locked walk.  The
+   walk leaves the parent a positive directory (it needed its inode for the
+   search permission check), so [positive_inode] cannot fail here. *)
+let target_locked ?start proc path =
+  let* p = resolve_parent_locked ?start proc path in
+  let* dir = positive_inode p.Walk.parent.dentry in
+  Ok { at = p.Walk.parent; dir; name = p.Walk.last; child = p.Walk.child; striped = false }
+
 (* Split [path] into (dirname, basename) when the final component is a
    plain name.  [None] dirname means the walk start itself (cwd / dirfd).
-   Trailing slashes, ".", ".." and empty basenames are Legacy cases. *)
+   Trailing slashes, ".", ".." and empty basenames take the write lock. *)
 let split_basename path =
   let n = String.length path in
   if n = 0 || path.[n - 1] = '/' then None
@@ -347,24 +333,126 @@ let resolve_dir ?start proc dirname =
     | Ok ref_ -> Some ref_
     | Error _ -> None)
 
-(* Parent validity under its stripe: still cached (roots are never hashed)
+(* The parent's inode while it is still cached (roots are never hashed)
    and still a positive directory.  A [Partial] parent would need a
-   promoting mutation guarded by the {e grandparent}'s stripe — Legacy. *)
-let dir_valid (pref : path_ref) =
+   promoting mutation guarded by the {e grandparent}'s stripe. *)
+let live_dir (pref : path_ref) =
   let d = pref.dentry in
-  (d.d_hashed || d.d_parent = None)
-  &&
   match d.d_state with
-  | Positive inode -> Inode.is_dir inode
-  | Partial _ | Negative _ -> false
+  | Positive inode when (d.d_hashed || d.d_parent = None) && Inode.is_dir inode -> Some inode
+  | Positive _ | Partial _ | Negative _ -> None
 
-let dir_inode_exn (pref : path_ref) =
-  match pref.dentry.d_state with Positive i -> i | _ -> assert false
+let striped_target d at dir name =
+  { at; dir; name; child = Dcache.lookup d at.dentry name; striped = true }
 
-let writable_dir proc (pref : path_ref) =
-  if pref.mnt.mnt_readonly then Error Errno.EROFS
-  else
-    permission proc (dir_inode_exn pref) (Access.union Access.may_write Access.may_exec)
+(* The stripe route calls top-level functions with plain arguments — no
+   per-call closure, and match chains instead of [let*] continuations in
+   the bodies — because a mutation's garbage is paid for in
+   stop-the-world minor collections by every domain, readers included,
+   and the stripes exist for multi-domain churn. *)
+
+let release d tab si sj =
+  Locktab.unlock2 tab si sj;
+  Rwlock.read_unlock (Dcache.lock d)
+
+(* The section runner.  [enter_section], called with the dcache lock's
+   read side held, takes stripes [si] and [sj] (one stripe when equal) and
+   fires the section's crash point, releasing every lock if it fires.
+   After validation, [run_section] runs the body under the locks and
+   releases them, also when the body raises; capacity enforcement waits
+   until every lock is dropped.  A rejected plan instead releases the
+   locks and runs the write-locked route. *)
+let enter_section d tab si sj site =
+  Locktab.lock2 tab si sj;
+  try crash_point site
+  with e ->
+    release d tab si sj;
+    raise e
+
+let run_section d tab si sj body proc arg input =
+  match body proc arg input with
+  | exception e ->
+    release d tab si sj;
+    raise e
+  | r ->
+    release d tab si sj;
+    Dcache.reclaim_overflow d;
+    r
+
+(* The write-locked route of a one-path mutation: [body] on the target of
+   the ordinary locked walk, unless the op names its own [global]. *)
+let locked ?start proc ~body ~global arg path =
+  with_write proc (fun () ->
+      match global with
+      | Some resolve -> resolve proc arg path
+      | None -> Result.bind (target_locked ?start proc path) (body proc arg))
+
+(* The child's own-id stripe guards the child's direct children, but its
+   id is only learnable under the parent stripe, and parent-then-child
+   acquisition would invert [Locktab.lock2]'s index ordering: so the child
+   is peeked under the parent stripe alone, both stripes are then taken in
+   order, and the peek is re-checked before anything trusts it. *)
+let peek_child d tab si pref name =
+  Locktab.lock tab si;
+  let child = match live_dir pref with Some _ -> Dcache.lookup d pref.dentry name | None -> None in
+  Locktab.unlock tab si;
+  child
+
+let still_peeked peeked child =
+  match (peeked, child) with
+  | None, _ -> true
+  | Some c0, Some c -> c == c0
+  | Some _, None -> false
+
+(* A one-path mutation: the parent's stripe, plus the peeked child's with
+   [peek].  [plan proc arg target] is the op's footprint predicate on the
+   stripe-side target, [body proc arg target] its verdicts and commit. *)
+let mutate ?start proc ~site ~peek ~plan ~body ~global arg path =
+  let d = dcache proc in
+  match Dcache.stripes d with
+  | None -> locked ?start proc ~body ~global arg path
+  | Some tab -> (
+    match split_basename path with
+    | None -> locked ?start proc ~body ~global arg path
+    | Some (dirname, name) -> (
+      match resolve_dir ?start proc dirname with
+      | None -> locked ?start proc ~body ~global arg path
+      | Some pref -> (
+        Rwlock.read_lock (Dcache.lock d);
+        let si = Locktab.index tab pref.dentry.d_id in
+        let peeked = if peek then peek_child d tab si pref name else None in
+        match peeked with
+        | None when peek ->
+          (* uncached: the fill needs the slowpath *)
+          Rwlock.read_unlock (Dcache.lock d);
+          locked ?start proc ~body ~global arg path
+        | _ -> (
+          let sj = match peeked with Some c -> Locktab.index tab c.d_id | None -> si in
+          enter_section d tab si sj site;
+          match live_dir pref with
+          | Some dir ->
+            let tg = striped_target d pref dir name in
+            if still_peeked peeked tg.child && plan proc arg tg then begin
+              let r = run_section d tab si sj body proc arg tg in
+              note_lookup proc path;
+              r
+            end
+            else begin
+              release d tab si sj;
+              locked ?start proc ~body ~global arg path
+            end
+          | None ->
+            release d tab si sj;
+            locked ?start proc ~body ~global arg path))))
+
+let writable_dir proc tg =
+  if tg.at.mnt.mnt_readonly then Error Errno.EROFS
+  else permission proc tg.dir (Access.union Access.may_write Access.may_exec)
+
+(* A name absent from the cache fits a stripe only in a complete directory:
+   its absence verdict is authoritative (§5.1), while an uncached name
+   elsewhere may still exist on the fs. *)
+let absent_is_authoritative proc tg = Dcache.is_complete (dcache proc) tg.at.dentry
 
 (* Backend entry mutations change the parent directory's own attributes
    (size at minimum; each backend accounts differently), so the cached
@@ -374,557 +462,93 @@ let writable_dir proc (pref : path_ref) =
 let refresh_dir_attr dir_inode =
   ignore (Inode.refresh dir_inode : (unit, Errno.t) result)
 
-let sharded_create ?start ~mode proc path flags : int attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir ?start proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let finish r =
-          Locktab.unlock tab si;
-          Rwlock.read_unlock lock;
-          (match r with
-          | Done _ ->
-            note_lookup proc path;
-            Dcache.reclaim_overflow d
-          | Legacy -> ());
-          r
-        in
-        (* The injected crash fires between the stripe seqcount bump (in
-           [Locktab.lock] above) and the splice: release the section's locks
-           before letting it propagate, exactly as a kernel oops handler
-           unwinds held spinlocks. *)
-        (try crash_point (fun cs -> cs.cs_create)
-         with e ->
-           Locktab.unlock tab si;
-           Rwlock.read_unlock lock;
-           raise e);
-        if not (dir_valid pref) then finish Legacy
-        else begin
-          let parent = pref.dentry in
-          let existing = Dcache.lookup d parent name in
-          match existing with
-          | Some child when dentry_is_positive child ->
-            if flag_mem Proc.O_EXCL flags then finish (Done (Error Errno.EEXIST))
-            else finish Legacy (* plain open of an existing file *)
-          | Some child when not (dentry_is_negative child) -> finish Legacy
-          | Some child when not (Dlist.is_empty child.d_children) ->
-            (* deep negatives below the name: pruning crosses stripes *)
-            finish Legacy
-          | None when not (Dcache.is_complete d parent) ->
-            (* an uncached name may still exist on the fs: only a complete
-               directory's absence verdict is authoritative (§5.1) *)
-            finish Legacy
-          | existing -> (
-            match writable_dir proc pref with
-            | Error e -> finish (Done (Error e))
-            | Ok () -> (
-              let dir_inode = dir_inode_exn pref in
-              match
-                parent.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) name
-                  File_kind.Regular mode ~uid:(Cred.uid proc.Proc.cred)
-                  ~gid:(Cred.gid proc.Proc.cred)
-              with
-              | Error e -> finish (Done (Error e))
-              | Ok attr ->
-                refresh_dir_attr dir_inode;
-                Counter.bump (cells proc).files_created;
-                Counter.bump (cells proc).sharded_create;
-                (* Either verdict — a cached negative or a complete parent's
-                   authoritative absence — let this create skip the backend
-                   existence probe entirely (§5). *)
-                Counter.bump (cells proc).create_neg_shortcut;
-                (* The absence verdict that authorized this create came from
-                   directory completeness (§5.1) — count it like the walk's
-                   complete-dir miss would have been. *)
-                if existing = None then Counter.bump (Dcache.cells d).complete_dir_negative;
-                let inode = Dcache.iget parent.d_sb attr in
-                Dcache.bump_dir_gen parent;
-                let child =
-                  match existing with
-                  | Some child ->
-                    (* negative promotion in place: the name keeps its
-                       signature and DLHT entry, so the fastpath serves the
-                       new positive result immediately (§5.2) *)
-                    Dcache.neg_forget d child;
-                    child.d_state <- Positive inode;
-                    child.d_target_sig <- None;
-                    child
-                  | None -> (
-                    match Dcache.add_child d parent name (Positive inode) with
-                    | Ok child -> child
-                    | Error _ -> assert false)
-                in
-                finish (Done (finish_open proc flags { pref with dentry = child }))))
-        end))
+(* Splice a freshly created inode in as [parent]'s child [name].  A cached
+   negative is promoted in place: the name keeps its signature and DLHT
+   entry, so the fastpath serves the new positive result immediately
+   (§5.2).  Creating a non-directory over it evicts any deep negative
+   children; a new directory is empty, so deep negatives below it stay
+   valid.  A name [add_child] finds already cached is promoted the same
+   way. *)
+let rec splice d parent name inode = function
+  | Some child ->
+    if dentry_is_negative child then begin
+      if not (Inode.is_dir inode) then Dcache.prune_children d child;
+      Dcache.neg_forget d child
+    end;
+    child.d_state <- Positive inode;
+    child.d_target_sig <- None;
+    child
+  | None -> (
+    match Dcache.add_child d parent name (Positive inode) with
+    | Ok child -> child
+    | Error _ -> splice d parent name inode (Dcache.lookup d parent name))
 
-let sharded_unlink ?start proc path : unit attempt =
+(* Instantiate a freshly created child in the dcache.  On a stripe, the
+   absence verdict that authorized the create came from the cache — a
+   negative or a complete parent — so the backend existence probe was
+   skipped (§5); the complete-parent case counts like the walk's
+   complete-dir miss would have. *)
+let instantiate proc tg (attr : Attr.t) =
   let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir ?start proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let finish r =
-          Locktab.unlock tab si;
-          Rwlock.read_unlock lock;
-          (match r with
-          | Done _ ->
-            note_lookup proc path;
-            Dcache.reclaim_overflow d
-          | Legacy -> ());
-          r
-        in
-        (try crash_point (fun cs -> cs.cs_unlink)
-         with e ->
-           Locktab.unlock tab si;
-           Rwlock.read_unlock lock;
-           raise e);
-        if not (dir_valid pref) then finish Legacy
-        else begin
-          match Dcache.lookup d pref.dentry name with
-          | None -> finish Legacy (* uncached: the fill needs the slowpath *)
-          | Some child -> (
-            match child.d_state with
-            | Negative e -> finish (Done (Error e))
-            | Partial _ -> finish Legacy
-            | Positive child_inode ->
-              if dentry_is_dir child then finish (Done (Error Errno.EISDIR))
-              else if
-                (not (Dlist.is_empty child.d_children))
-                || Mount.is_mountpoint proc.Proc.ns pref.mnt child
-                || (Inode.attr child_inode).Attr.nlink <> 1
-                (* extra hard links: the shared inode's nlink is mutated
-                   from other parents' stripes — Legacy serializes *)
-              then finish Legacy
-              else begin
-                match writable_dir proc pref with
-                | Error e -> finish (Done (Error e))
-                | Ok () -> (
-                  match
-                    pref.dentry.d_sb.sb_fs.Fs.unlink
-                      (Inode.ino (dir_inode_exn pref)) name
-                  with
-                  | Error e -> finish (Done (Error e))
-                  | Ok () ->
-                    refresh_dir_attr (dir_inode_exn pref);
-                    Counter.bump (cells proc).sharded_unlink;
-                    Dcache.bump_dir_gen pref.dentry;
-                    Inode.bump_nlink child_inode (-1);
-                    if (Inode.attr child_inode).Attr.nlink <= 0 then
-                      Dcache.iforget child.d_sb (Inode.ino child_inode);
-                    Dcache.note_unlinked d child;
-                    finish (Done (Ok ())))
-              end)
-        end))
+  if tg.striped then begin
+    Counter.bump (cells proc).create_neg_shortcut;
+    if Option.is_none tg.child then Counter.bump (Dcache.cells d).complete_dir_negative
+  end;
+  let inode = Dcache.iget tg.at.dentry.d_sb attr in
+  Dcache.bump_dir_gen tg.at.dentry;
+  splice d tg.at.dentry tg.name inode tg.child
 
-let sharded_rename proc old_path new_path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match (split_basename old_path, split_basename new_path) with
-    | Some (old_dir, old_name), Some (new_dir, new_name) -> (
-      match (resolve_dir proc old_dir, resolve_dir proc new_dir) with
-      | Some po, Some pn when po.dentry.d_sb == pn.dentry.d_sb ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab po.dentry.d_id in
-        let sj = Locktab.index tab pn.dentry.d_id in
-        (* both parents' stripes, in index order — the cross-rename
-           deadlock case (A→B in one domain, B→A in another) serializes
-           on whichever stripe sorts first *)
-        Locktab.lock2 tab si sj;
-        let finish r =
-          Locktab.unlock2 tab si sj;
-          Rwlock.read_unlock lock;
-          (match r with
-          | Done _ ->
-            note_lookup proc old_path;
-            note_lookup proc new_path;
-            Dcache.reclaim_overflow d
-          | Legacy -> ());
-          r
-        in
-        (try crash_point (fun cs -> cs.cs_rename)
-         with e ->
-           Locktab.unlock2 tab si sj;
-           Rwlock.read_unlock lock;
-           raise e);
-        if not (dir_valid po && dir_valid pn) then finish Legacy
-        else begin
-          match Dcache.lookup d po.dentry old_name with
-          | None -> finish Legacy
-          | Some src -> (
-            match src.d_state with
-            | Negative _ -> finish (Done (Error Errno.ENOENT))
-            | Partial _ -> finish Legacy
-            | Positive src_inode ->
-              if
-                Inode.is_dir src_inode
-                || (not (Dlist.is_empty src.d_children))
-                || Mount.is_mountpoint proc.Proc.ns po.mnt src
-              then finish Legacy
-              else begin
-                match (writable_dir proc po, writable_dir proc pn) with
-                | Error e, _ | _, Error e -> finish (Done (Error e))
-                | Ok (), Ok () -> (
-                  let target = Dcache.lookup d pn.dentry new_name in
-                  match target with
-                  | Some tgt when tgt == src ->
-                    finish (Done (Ok ())) (* rename onto itself: no-op *)
-                  | Some tgt
-                    when dentry_is_positive tgt
-                         || (not (dentry_is_negative tgt))
-                         || not (Dlist.is_empty tgt.d_children) ->
-                    (* displaced positive/partial targets carry nlink and
-                       inode-cache bookkeeping — Legacy *)
-                    finish Legacy
-                  | _ -> (
-                    let rename_lock = Dcache.rename_lock d in
-                    Dcache_util.Seqcount.write_begin rename_lock;
-                    ignore (Dcache.invalidate_structure d src);
-                    let result =
-                      src.d_sb.sb_fs.Fs.rename
-                        (Inode.ino (dir_inode_exn po)) old_name
-                        (Inode.ino (dir_inode_exn pn)) new_name
-                    in
-                    match result with
-                    | Error e ->
-                      Dcache_util.Seqcount.write_end rename_lock;
-                      finish (Done (Error e))
-                    | Ok () ->
-                      refresh_dir_attr (dir_inode_exn po);
-                      if not (po.dentry == pn.dentry) then
-                        refresh_dir_attr (dir_inode_exn pn);
-                      Counter.bump (cells proc).sharded_rename;
-                      Dcache.bump_dir_gen po.dentry;
-                      Dcache.bump_dir_gen pn.dentry;
-                      (match target with
-                      | Some tgt -> Dcache.unhash d tgt
-                      | None -> ());
-                      Dcache.d_move d src ~new_parent:pn.dentry ~new_name;
-                      (* Keep the old name cached as a negative (§5.2). *)
-                      if (kconfig proc).Config.aggressive_negative then
-                        ignore
-                          (Dcache.add_child d po.dentry old_name
-                             (Negative Errno.ENOENT));
-                      Dcache_util.Seqcount.write_end rename_lock;
-                      finish (Done (Ok ()))))
-              end)
-        end
-      | _ -> Legacy)
-    | _ -> Legacy)
-
-(* Callback invalidation through the parent stripe (§3.7): a netfs lease
-   break evicts one cached name, and funnelling every break through the
-   global write lock would reserialize exactly the workload the stripes
-   exist for.  The target's direct children are guarded by its {e own-id}
-   stripe, so the section needs parent + target stripes.  The target's id
-   is only learnable under the parent stripe, and parent-then-child
-   acquisition would invert [Locktab.lock2]'s index ordering — so the
-   target is peeked under the parent stripe alone, both stripes are then
-   taken in order, and the peek is re-validated before anything trusts it.
-   Subtrees deeper than one level (grandchildren live under {e their}
-   parents' stripes), mountpoints, and every other off-happy-path shape
-   fall back to the write-locked implementation. *)
-let sharded_invalidate proc path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let peek =
-          if dir_valid pref then Dcache.lookup d pref.dentry name else None
-        in
-        Locktab.unlock tab si;
-        (match peek with
-        | None ->
-          Rwlock.read_unlock lock;
-          Legacy
-        | Some child0 ->
-          let sj = Locktab.index tab child0.d_id in
-          Locktab.lock2 tab si sj;
-          let finish r =
-            Locktab.unlock2 tab si sj;
-            Rwlock.read_unlock lock;
-            (match r with
-            | Done _ ->
-              note_lookup proc path;
-              Dcache.reclaim_overflow d
-            | Legacy -> ());
-            r
-          in
-          (try crash_point (fun cs -> cs.cs_invalidate)
-           with e ->
-             Locktab.unlock2 tab si sj;
-             Rwlock.read_unlock lock;
-             raise e);
-          if not (dir_valid pref) then finish Legacy
-          else begin
-            match Dcache.lookup d pref.dentry name with
-            | Some child when child == child0 -> (
-              match child.d_state with
-              | Negative e -> finish (Done (Error e))
-              | Partial _ -> finish Legacy
-              | Positive _ ->
-                let deep = ref false in
-                Dcache.iter_children child (fun gc ->
-                    if not (Dlist.is_empty gc.d_children) then deep := true);
-                if !deep || Mount.is_mountpoint proc.Proc.ns pref.mnt child then
-                  finish Legacy
-                else begin
-                  ignore (Dcache.invalidate_structure d child);
-                  Dcache.unhash ~reclaim:true d child;
-                  Counter.bump (cells proc).sharded_cb_invalidate;
-                  finish (Done (Ok ()))
-                end)
-            | Some _ | None -> finish Legacy (* raced: re-resolve under the big lock *)
-          end)))
-
-(* mkdir through the parent stripe, modeled on [sharded_create]: every
-   verdict the section relies on — the child's cached state, the parent's
-   completeness — is recorded against the parent's own-id stripe by
-   concurrent lockless probes, so holding that one stripe suffices.  A new
-   directory is empty, so a promoted negative keeps its deep-negative
-   children valid (§5.2), same as [instantiate]. *)
-let sharded_mkdir ?start ~mode proc path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir ?start proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let finish r =
-          Locktab.unlock tab si;
-          Rwlock.read_unlock lock;
-          (match r with
-          | Done _ ->
-            note_lookup proc path;
-            Dcache.reclaim_overflow d
-          | Legacy -> ());
-          r
-        in
-        (try crash_point (fun cs -> cs.cs_mkdir)
-         with e ->
-           Locktab.unlock tab si;
-           Rwlock.read_unlock lock;
-           raise e);
-        if not (dir_valid pref) then finish Legacy
-        else begin
-          let parent = pref.dentry in
-          let existing = Dcache.lookup d parent name in
-          match existing with
-          | Some child when dentry_is_positive child ->
-            finish (Done (Error Errno.EEXIST))
-          | Some child when not (dentry_is_negative child) -> finish Legacy
-          | None when not (Dcache.is_complete d parent) ->
-            (* only a complete directory's absence verdict is authoritative
-               (§5.1): an uncached name may still exist on the fs *)
-            finish Legacy
-          | existing -> (
-            match writable_dir proc pref with
-            | Error e -> finish (Done (Error e))
-            | Ok () -> (
-              let dir_inode = dir_inode_exn pref in
-              match
-                parent.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) name
-                  File_kind.Directory mode ~uid:(Cred.uid proc.Proc.cred)
-                  ~gid:(Cred.gid proc.Proc.cred)
-              with
-              | Error e -> finish (Done (Error e))
-              | Ok attr ->
-                Counter.bump (cells proc).sharded_mkdir;
-                Counter.bump (cells proc).create_neg_shortcut;
-                if existing = None then Counter.bump (Dcache.cells d).complete_dir_negative;
-                Inode.bump_nlink dir_inode 1;
-                refresh_dir_attr dir_inode;
-                let inode = Dcache.iget parent.d_sb attr in
-                Dcache.bump_dir_gen parent;
-                let child =
-                  match existing with
-                  | Some child ->
-                    Dcache.neg_forget d child;
-                    child.d_state <- Positive inode;
-                    child.d_target_sig <- None;
-                    child
-                  | None -> (
-                    match Dcache.add_child d parent name (Positive inode) with
-                    | Ok child -> child
-                    | Error _ -> assert false)
-                in
-                (* A brand-new directory's (empty) listing is fully cached
-                   (§5.1). *)
-                Dcache.set_complete d child;
-                finish (Done (Ok ()))))
-        end))
-
-(* rmdir through parent + target stripes, with [sharded_invalidate]'s
-   peek-then-lock2 shape: the target's direct children (cached names inside
-   the removed directory) are guarded by its own-id stripe, and the id is
-   only learnable under the parent stripe, so the target is peeked, both
-   stripes are taken in index order, and the peek is re-validated.
-   Grandchildren with children of their own, mountpoints and partial
-   dentries fall back to the write-locked implementation. *)
-let sharded_rmdir proc path : unit attempt =
-  let d = dcache proc in
-  match Dcache.stripes d with
-  | None -> Legacy
-  | Some tab -> (
-    match split_basename path with
-    | None -> Legacy
-    | Some (dirname, name) -> (
-      match resolve_dir proc dirname with
-      | None -> Legacy
-      | Some pref ->
-        let lock = Dcache.lock d in
-        Rwlock.read_lock lock;
-        let si = Locktab.index tab pref.dentry.d_id in
-        Locktab.lock tab si;
-        let peek =
-          if dir_valid pref then Dcache.lookup d pref.dentry name else None
-        in
-        Locktab.unlock tab si;
-        (match peek with
-        | None ->
-          Rwlock.read_unlock lock;
-          Legacy (* uncached: the fill needs the slowpath *)
-        | Some child0 ->
-          let sj = Locktab.index tab child0.d_id in
-          Locktab.lock2 tab si sj;
-          let finish r =
-            Locktab.unlock2 tab si sj;
-            Rwlock.read_unlock lock;
-            (match r with
-            | Done _ ->
-              note_lookup proc path;
-              Dcache.reclaim_overflow d
-            | Legacy -> ());
-            r
-          in
-          (try crash_point (fun cs -> cs.cs_rmdir)
-           with e ->
-             Locktab.unlock2 tab si sj;
-             Rwlock.read_unlock lock;
-             raise e);
-          if not (dir_valid pref) then finish Legacy
-          else begin
-            match Dcache.lookup d pref.dentry name with
-            | Some child when child == child0 -> (
-              match child.d_state with
-              | Negative e -> finish (Done (Error e))
-              | Partial _ -> finish Legacy
-              | Positive child_inode ->
-                if not (Inode.is_dir child_inode) then
-                  finish (Done (Error Errno.ENOTDIR))
-                else if Mount.is_mountpoint proc.Proc.ns pref.mnt child then
-                  finish Legacy (* the sequential path reports EBUSY *)
-                else begin
-                  let deep = ref false in
-                  Dcache.iter_children child (fun gc ->
-                      if not (Dlist.is_empty gc.d_children) then deep := true);
-                  if !deep then finish Legacy
-                  else begin
-                    match writable_dir proc pref with
-                    | Error e -> finish (Done (Error e))
-                    | Ok () -> (
-                      match
-                        pref.dentry.d_sb.sb_fs.Fs.rmdir
-                          (Inode.ino (dir_inode_exn pref)) name
-                      with
-                      | Error e -> finish (Done (Error e))
-                      | Ok () ->
-                        Counter.bump (cells proc).sharded_rmdir;
-                        Dcache.bump_dir_gen pref.dentry;
-                        Inode.bump_nlink (dir_inode_exn pref) (-1);
-                        refresh_dir_attr (dir_inode_exn pref);
-                        Dcache.iforget child.d_sb (Inode.ino child_inode);
-                        Dcache.invalidate_structure d child |> ignore;
-                        Dcache.note_unlinked d child;
-                        finish (Done (Ok ())))
-                  end
-                end)
-            | Some _ | None -> finish Legacy (* raced: re-resolve under the big lock *)
-          end)))
+(* --- open, with O_CREAT through the engine --- *)
 
 let open_within proc flags mnt dentry = finish_open proc flags { mnt; dentry }
 
+(* A stripe serves an O_EXCL verdict on a cached name and a create over a
+   childless negative or into a complete directory; opening an existing
+   file follows symlinks and crosses mounts under the write lock. *)
+let plan_create proc (_, flags) tg =
+  match tg.child with
+  | Some child when dentry_is_positive child -> flag_mem Proc.O_EXCL flags
+  | Some child -> Dlist.is_empty child.d_children (* deep negatives: pruning crosses stripes *)
+  | None -> absent_is_authoritative proc tg
+
+let create_body proc (mode, flags) tg =
+  match tg.child with
+  | Some child when dentry_is_positive child -> (
+    if flag_mem Proc.O_EXCL flags then Error Errno.EEXIST
+    else begin
+      match dentry_kind child with
+      | Some File_kind.Symlink when not (flag_mem Proc.O_NOFOLLOW flags) ->
+        (* Re-resolve the full path following the trailing link. *)
+        Ok `Follow_symlink
+      | _ ->
+        let target = Mount.traverse_mounts { tg.at with dentry = child } in
+        Result.map (fun fd -> `Opened fd) (finish_open proc flags target)
+    end)
+  | _ ->
+    match writable_dir proc tg with Error e -> Error e | Ok () ->
+    match
+      tg.at.dentry.d_sb.sb_fs.Fs.create (Inode.ino tg.dir) tg.name File_kind.Regular mode
+        ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred)
+    with Error e -> Error e | Ok attr ->
+    refresh_dir_attr tg.dir;
+    Counter.bump (cells proc).files_created;
+    if tg.striped then Counter.bump (cells proc).sharded_create;
+    let child = instantiate proc tg attr in
+    Result.map (fun fd -> `Opened fd) (finish_open proc flags { tg.at with dentry = child })
+
 let rec do_open ?(mode = Mode.default_file) ?start proc path flags =
-  let follow = not (flag_mem Proc.O_NOFOLLOW flags) in
   if not (flag_mem Proc.O_CREAT flags) then
     resolve_with ?start proc path
-      ?flags:(open_lookup_flags ~follow ~must_dir:(flag_mem Proc.O_DIRECTORY flags))
+      ?flags:
+        (open_lookup_flags
+           ~follow:(not (flag_mem Proc.O_NOFOLLOW flags))
+           ~must_dir:(flag_mem Proc.O_DIRECTORY flags))
       ~within:(open_within proc flags)
   else begin
-    match sharded_create ?start ~mode proc path flags with
-    | Done r -> r
-    | Legacy ->
-    let result =
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked proc path in
-          match p.Walk.child with
-          | Some child when dentry_is_positive child -> (
-            if flag_mem Proc.O_EXCL flags then Error Errno.EEXIST
-            else begin
-              match dentry_kind child with
-              | Some File_kind.Symlink when follow ->
-                (* Re-resolve the full path following the trailing link. *)
-                Ok `Follow_symlink
-              | _ ->
-                let target = Mount.traverse_mounts { p.Walk.parent with dentry = child } in
-                Result.map (fun fd -> `Opened fd) (finish_open proc flags target)
-            end)
-          | _ ->
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* attr =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) p.Walk.last
-                   File_kind.Regular mode ~uid:(Cred.uid proc.Proc.cred)
-                   ~gid:(Cred.gid proc.Proc.cred))
-            in
-            refresh_dir_attr dir_inode;
-            Counter.bump (cells proc).files_created;
-            let child = instantiate proc p attr in
-            Result.map
-              (fun fd -> `Opened fd)
-              (finish_open proc flags { p.Walk.parent with dentry = child }))
-    in
-    match result with
+    match
+      mutate ?start proc ~site:(fun cs -> cs.cs_create) ~peek:false ~plan:plan_create
+        ~body:create_body ~global:None (mode, flags) path
+    with
     | Ok (`Opened fd) -> Ok fd
     | Ok `Follow_symlink -> do_open ~mode ?start proc path (List.filter (( <> ) Proc.O_CREAT) flags)
     | Error _ as e -> e
@@ -1204,66 +828,83 @@ let truncate proc path size =
 
 (* --- namespace mutations --- *)
 
+(* A stripe serves EEXIST on a cached name and a mkdir over any negative
+   (a new directory keeps deep negatives valid) or into a complete
+   directory. *)
+let plan_mkdir proc _ tg =
+  match tg.child with Some _ -> true | None -> absent_is_authoritative proc tg
+
+let mkdir_body proc mode tg =
+  match tg.child with
+  | Some child when dentry_is_positive child -> Error Errno.EEXIST
+  | _ ->
+    match writable_dir proc tg with Error e -> Error e | Ok () ->
+    match
+      tg.at.dentry.d_sb.sb_fs.Fs.create (Inode.ino tg.dir) tg.name File_kind.Directory mode
+        ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred)
+    with Error e -> Error e | Ok attr ->
+    if tg.striped then Counter.bump (cells proc).sharded_mkdir;
+    Inode.bump_nlink tg.dir 1;
+    refresh_dir_attr tg.dir;
+    let child = instantiate proc tg attr in
+    (* A brand-new directory's (empty) listing is fully cached (§5.1). *)
+    Dcache.set_complete (dcache proc) child;
+    Ok ()
+
+let do_mkdir ?start ~mode proc path =
+  mutate ?start proc ~site:(fun cs -> cs.cs_mkdir) ~peek:false ~plan:plan_mkdir ~body:mkdir_body
+    ~global:None mode path
+
 let mkdir ?(mode = Mode.default_dir) proc path =
   sys (cells proc).sys_mkdir;
-  match sharded_mkdir ~mode proc path with
-  | Done r -> r
-  | Legacy ->
-  with_write proc (fun () ->
-      let* p = resolve_parent_locked proc path in
-      match p.Walk.child with
-      | Some child when dentry_is_positive child -> Error Errno.EEXIST
-      | _ ->
-        let* () = check_write_dir proc p in
-        let* dir_inode = parent_dir_inode p in
-        let* attr =
-          map_fs_result
-            (p.Walk.parent.dentry.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) p.Walk.last
-               File_kind.Directory mode ~uid:(Cred.uid proc.Proc.cred)
-               ~gid:(Cred.gid proc.Proc.cred))
-        in
-        Inode.bump_nlink dir_inode 1;
-        refresh_dir_attr dir_inode;
-        let child = instantiate proc p attr in
-        (* A brand-new directory's (empty) listing is fully cached (§5.1). *)
-        Dcache.set_complete (dcache proc) child;
-        Ok ())
+  do_mkdir ~mode proc path
 
-let check_not_mountpoint proc (p : Walk.parent_result) child =
-  if Mount.is_mountpoint proc.Proc.ns p.Walk.parent.mnt child then Error Errno.EBUSY
-  else Ok ()
+(* Removing a name needs its mountpoint check, then write and search
+   permission on the directory. *)
+let may_delete proc tg child =
+  if Mount.is_mountpoint proc.Proc.ns tg.at.mnt child then Error Errno.EBUSY
+  else writable_dir proc tg
 
-let do_unlink proc path =
-  match sharded_unlink proc path with
-  | Done r -> r
-  | Legacy ->
-  with_write proc (fun () ->
-      let* p = resolve_parent_locked proc path in
-      match p.Walk.child with
-      | None -> Error Errno.ENOENT
-      | Some child -> (
-        match child.d_state with
-        | Negative e -> Error e
-        | Partial _ | Positive _ ->
-          if dentry_is_dir child then Error Errno.EISDIR
-          else begin
-            let* () = check_not_mountpoint proc p child in
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* child_inode = positive_inode child in
-            let* () =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino dir_inode)
-                   p.Walk.last)
-            in
-            refresh_dir_attr dir_inode;
-            Dcache.bump_dir_gen p.Walk.parent.dentry;
-            Inode.bump_nlink child_inode (-1);
-            if (Inode.attr child_inode).Attr.nlink <= 0 then
-              Dcache.iforget child.d_sb (Inode.ino child_inode);
-            Dcache.note_unlinked (dcache proc) child;
-            Ok ()
-          end))
+(* An uncached name needs the slowpath's fill, a [Partial] one a
+   promotion.  Extra hard links put the shared inode's nlink under other
+   parents' stripes, and mountpoints and deep negatives need the write
+   lock too; a negative or a directory is a verdict. *)
+let plan_unlink proc () tg =
+  match tg.child with
+  | None -> false
+  | Some child -> (
+    match child.d_state with
+    | Negative _ -> true
+    | Partial _ -> false
+    | Positive inode ->
+      Inode.is_dir inode
+      || Dlist.is_empty child.d_children
+         && (not (Mount.is_mountpoint proc.Proc.ns tg.at.mnt child))
+         && (Inode.attr inode).Attr.nlink = 1)
+
+let unlink_body proc () tg =
+  match tg.child with
+  | None -> Error Errno.ENOENT
+  | Some { d_state = Negative e; _ } -> Error e
+  | Some child when dentry_is_dir child -> Error Errno.EISDIR
+  | Some child ->
+    match may_delete proc tg child with Error e -> Error e | Ok () ->
+    match positive_inode child with Error e -> Error e | Ok child_inode ->
+    match tg.at.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino tg.dir) tg.name with
+    | Error e -> Error e
+    | Ok () ->
+      if tg.striped then Counter.bump (cells proc).sharded_unlink;
+      refresh_dir_attr tg.dir;
+      Dcache.bump_dir_gen tg.at.dentry;
+      Inode.bump_nlink child_inode (-1);
+      if (Inode.attr child_inode).Attr.nlink <= 0 then
+        Dcache.iforget child.d_sb (Inode.ino child_inode);
+      Dcache.note_unlinked (dcache proc) child;
+      Ok ()
+
+let do_unlink ?start proc path =
+  mutate ?start proc ~site:(fun cs -> cs.cs_unlink) ~peek:false ~plan:plan_unlink
+    ~body:unlink_body ~global:None () path
 
 let unlink proc path =
   let t0 = Systime.stamp () in
@@ -1272,142 +913,181 @@ let unlink proc path =
   Systime.record_span Systime.Unlink t0;
   r
 
+(* Cached names inside the removed directory sit under its own-id stripe,
+   which the peek footprint holds; grandchildren with children of their
+   own sit under theirs. *)
+let no_grandchildren child =
+  let deep = ref false in
+  Dcache.iter_children child (fun gc -> if not (Dlist.is_empty gc.d_children) then deep := true);
+  not !deep
+
+(* The mountpoint case reports EBUSY from the write-locked walk's target. *)
+let plan_rmdir proc () tg =
+  match tg.child with
+  | None -> false
+  | Some child -> (
+    match child.d_state with
+    | Negative _ -> true
+    | Partial _ -> false
+    | Positive inode ->
+      (not (Inode.is_dir inode))
+      || (not (Mount.is_mountpoint proc.Proc.ns tg.at.mnt child))
+         && no_grandchildren child)
+
+let rmdir_body proc () tg =
+  match tg.child with
+  | None -> Error Errno.ENOENT
+  | Some { d_state = Negative e; _ } -> Error e
+  | Some child when not (dentry_is_dir child) -> Error Errno.ENOTDIR
+  | Some child ->
+    match may_delete proc tg child with Error e -> Error e | Ok () ->
+    match tg.at.dentry.d_sb.sb_fs.Fs.rmdir (Inode.ino tg.dir) tg.name with
+    | Error e -> Error e
+    | Ok () ->
+      if tg.striped then Counter.bump (cells proc).sharded_rmdir;
+      Dcache.bump_dir_gen tg.at.dentry;
+      Inode.bump_nlink tg.dir (-1);
+      refresh_dir_attr tg.dir;
+      (match dentry_inode child with
+      | Some child_inode -> Dcache.iforget child.d_sb (Inode.ino child_inode)
+      | None -> ());
+      Dcache.invalidate_structure (dcache proc) child |> ignore;
+      Dcache.note_unlinked (dcache proc) child;
+      Ok ()
+
 let rmdir proc path =
   sys (cells proc).sys_rmdir;
-  match sharded_rmdir proc path with
-  | Done r -> r
-  | Legacy ->
-  with_write proc (fun () ->
-      let* p = resolve_parent_locked proc path in
-      match p.Walk.child with
-      | None -> Error Errno.ENOENT
-      | Some child -> (
-        match child.d_state with
-        | Negative e -> Error e
-        | Partial _ | Positive _ ->
-          if not (dentry_is_dir child) then Error Errno.ENOTDIR
-          else begin
-            let* () = check_not_mountpoint proc p child in
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* () =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.rmdir (Inode.ino dir_inode) p.Walk.last)
-            in
-            Dcache.bump_dir_gen p.Walk.parent.dentry;
-            Inode.bump_nlink dir_inode (-1);
-            refresh_dir_attr dir_inode;
-            (match dentry_inode child with
-            | Some child_inode -> Dcache.iforget child.d_sb (Inode.ino child_inode)
-            | None -> ());
-            Dcache.invalidate_structure (dcache proc) child |> ignore;
-            Dcache.note_unlinked (dcache proc) child;
-            Ok ()
-          end))
+  mutate proc ~site:(fun cs -> cs.cs_rmdir) ~peek:true ~plan:plan_rmdir ~body:rmdir_body
+    ~global:None () path
 
 let rec is_ancestor ~(of_ : dentry) candidate =
   candidate == of_
   || (match of_.d_parent with Some parent -> is_ancestor ~of_:parent candidate | None -> false)
 
+(* Rename's footprint is both parents' stripes.  A stripe serves a
+   negative source (ENOENT) and moves a childless, singly-linked
+   non-directory that is no mountpoint onto a missing or childless
+   negative name (or onto itself); a displaced positive or [Partial]
+   target carries nlink and inode-cache bookkeeping.  Returns the
+   destination's target, [name] in the live directory [at]/[dir].  The
+   destination is looked up only behind such a source: no other source's
+   verdict reads it. *)
+let plan_rename proc d (src : target) at dir name =
+  match src.child with
+  | Some s when dentry_is_negative s -> Some { at; dir; name; child = None; striped = true }
+  | Some ({ d_state = Positive inode; _ } as s)
+    when (not (Inode.is_dir inode))
+         && Dlist.is_empty s.d_children
+         && not (Mount.is_mountpoint proc.Proc.ns src.at.mnt s) -> (
+    match Dcache.lookup d at.dentry name with
+    | Some t when not (t == s || (dentry_is_negative t && Dlist.is_empty t.d_children)) -> None
+    | child -> Some { at; dir; name; child; striped = true })
+  | Some _ | None -> None
+
+(* The commit holds the rename seqcount open from its invalidations to the
+   splice, so a lockless walk spanning both parents retries (§3.6). *)
+let rename_commit proc src s src_is_dir dst =
+  let d = dcache proc in
+  let target = dst.child in
+  let rename_lock = Dcache.rename_lock d in
+  Dcache_util.Seqcount.write_begin rename_lock;
+  (* Invalidate direct-lookup state under both the old and new paths
+     before mutating (§3.2). *)
+  Dcache.invalidate_structure d s |> ignore;
+  (match target with
+  | Some tgt when dentry_is_positive tgt -> Dcache.invalidate_structure d tgt |> ignore
+  | _ -> ());
+  match s.d_sb.sb_fs.Fs.rename (Inode.ino src.dir) src.name (Inode.ino dst.dir) dst.name with
+  | Error _ as e ->
+    Dcache_util.Seqcount.write_end rename_lock;
+    e
+  | Ok () ->
+    if src.striped then Counter.bump (cells proc).sharded_rename;
+    Dcache.bump_dir_gen src.at.dentry;
+    Dcache.bump_dir_gen dst.at.dentry;
+    (match target with
+    | Some tgt when dentry_is_positive tgt ->
+      (match dentry_inode tgt with
+      | Some tgt_inode ->
+        Inode.bump_nlink tgt_inode (-1);
+        if (Inode.attr tgt_inode).Attr.nlink <= 0 then Dcache.iforget tgt.d_sb (Inode.ino tgt_inode)
+      | None -> ());
+      Dcache.unhash d tgt
+    | Some tgt -> Dcache.unhash d tgt
+    | None -> ());
+    Dcache.d_move d s ~new_parent:dst.at.dentry ~new_name:dst.name;
+    let same_dir = src.at.dentry == dst.at.dentry in
+    if src_is_dir && not same_dir then begin
+      Inode.bump_nlink src.dir (-1);
+      Inode.bump_nlink dst.dir 1
+    end;
+    refresh_dir_attr src.dir;
+    if not same_dir then refresh_dir_attr dst.dir;
+    (* Keep the old name cached as a negative dentry (§5.2). *)
+    if (kconfig proc).Config.aggressive_negative then
+      ignore (Dcache.add_child d src.at.dentry src.name (Negative Errno.ENOENT));
+    Dcache_util.Seqcount.write_end rename_lock;
+    Ok ()
+
+let rename_body proc src dst =
+  match src.child with
+  | None | Some { d_state = Negative _; _ } -> Error Errno.ENOENT
+  | Some _ when not (src.at.dentry.d_sb == dst.at.dentry.d_sb) -> Error Errno.EXDEV
+  | Some s -> (
+    match may_delete proc src s with Error e -> Error e | Ok () ->
+    match writable_dir proc dst with Error e -> Error e | Ok () ->
+    match positive_inode s with Error e -> Error e | Ok src_inode ->
+    let src_is_dir = Inode.is_dir src_inode in
+    match dst.child with
+    | _ when src_is_dir && is_ancestor ~of_:dst.at.dentry s -> Error Errno.EINVAL
+    | Some tgt when tgt == s -> Ok () (* rename onto itself: POSIX no-op *)
+    | Some ({ d_state = Positive tgt_inode; _ } as tgt)
+      when Inode.ino tgt_inode = Inode.ino src_inode && tgt.d_sb == s.d_sb ->
+      Ok () (* another link to the same inode *)
+    | _ when s == src.at.dentry -> Error Errno.EINVAL
+    | Some tgt when dentry_is_positive tgt && Mount.is_mountpoint proc.Proc.ns dst.at.mnt tgt ->
+      Error Errno.EBUSY
+    | _ -> rename_commit proc src s src_is_dir dst)
+
+let rename_locked proc old_path new_path =
+  with_write proc (fun () ->
+      let* src = target_locked proc old_path in
+      let* dst = target_locked proc new_path in
+      rename_body proc src dst)
+
 let rename proc old_path new_path =
   sys (cells proc).sys_rename;
-  match sharded_rename proc old_path new_path with
-  | Done r -> r
-  | Legacy ->
-  with_write proc (fun () ->
-      let d = dcache proc in
-      let* po = resolve_parent_locked proc old_path in
-      let* pn = resolve_parent_locked proc new_path in
-      match po.Walk.child with
-      | None -> Error Errno.ENOENT
-      | Some src when dentry_is_negative src -> Error Errno.ENOENT
-      | Some src ->
-        if not (po.Walk.parent.dentry.d_sb == pn.Walk.parent.dentry.d_sb) then
-          Error Errno.EXDEV
-        else begin
-          let* () = check_not_mountpoint proc po src in
-          let* () = check_write_dir proc po in
-          let* () = check_write_dir proc pn in
-          let* src_inode = positive_inode src in
-          let src_is_dir = Inode.is_dir src_inode in
-          if src_is_dir && is_ancestor ~of_:pn.Walk.parent.dentry src then Error Errno.EINVAL
-          else begin
-            let target = pn.Walk.child in
-            let target_same =
-              match target with
-              | Some tgt when dentry_is_positive tgt -> (
-                match dentry_inode tgt with
-                | Some tgt_inode -> Inode.ino tgt_inode = Inode.ino src_inode
-                                    && tgt.d_sb == src.d_sb
-                | None -> false)
-              | _ -> false
-            in
-            let same_dentry =
-              match target with Some tgt -> tgt == src | None -> false
-            in
-            if same_dentry then Ok () (* rename onto itself: POSIX no-op *)
-            else if target_same then Ok ()
-            else if src == po.Walk.parent.dentry then Error Errno.EINVAL
-            else begin
-              let* () =
-                match target with
-                | Some tgt when dentry_is_positive tgt ->
-                  check_not_mountpoint proc pn tgt
-                | _ -> Ok ()
-              in
-              let rename_lock = Dcache.rename_lock d in
-              Dcache_util.Seqcount.write_begin rename_lock;
-              (* Invalidate direct-lookup state under both the old and new
-                 paths before mutating (§3.2). *)
-              Dcache.invalidate_structure d src |> ignore;
-              (match target with
-              | Some tgt when dentry_is_positive tgt ->
-                Dcache.invalidate_structure d tgt |> ignore
-              | _ -> ());
-              let* old_dir = parent_dir_inode po in
-              let* new_dir = parent_dir_inode pn in
-              let result =
-                map_fs_result
-                  (src.d_sb.sb_fs.Fs.rename (Inode.ino old_dir) po.Walk.last
-                     (Inode.ino new_dir) pn.Walk.last)
-              in
-              match result with
-              | Error _ as e ->
-                Dcache_util.Seqcount.write_end rename_lock;
-                e
-              | Ok () ->
-                Dcache.bump_dir_gen po.Walk.parent.dentry;
-                Dcache.bump_dir_gen pn.Walk.parent.dentry;
-                (match target with
-                | Some tgt when dentry_is_positive tgt ->
-                  (match dentry_inode tgt with
-                  | Some tgt_inode ->
-                    Inode.bump_nlink tgt_inode (-1);
-                    if (Inode.attr tgt_inode).Attr.nlink <= 0 then
-                      Dcache.iforget tgt.d_sb (Inode.ino tgt_inode)
-                  | None -> ());
-                  Dcache.unhash d tgt
-                | Some tgt -> Dcache.unhash d tgt
-                | None -> ());
-                let old_name = po.Walk.last in
-                Dcache.d_move d src ~new_parent:pn.Walk.parent.dentry ~new_name:pn.Walk.last;
-                if src_is_dir && not (po.Walk.parent.dentry == pn.Walk.parent.dentry) then begin
-                  Inode.bump_nlink old_dir (-1);
-                  Inode.bump_nlink new_dir 1
-                end;
-                refresh_dir_attr old_dir;
-                if not (po.Walk.parent.dentry == pn.Walk.parent.dentry) then
-                  refresh_dir_attr new_dir;
-                (* Keep the old name cached as a negative dentry (§5.2). *)
-                if (kconfig proc).Config.aggressive_negative then
-                  ignore
-                    (Dcache.add_child d po.Walk.parent.dentry old_name
-                       (Negative Errno.ENOENT));
-                Dcache_util.Seqcount.write_end rename_lock;
-                Ok ()
-            end
-          end
-        end)
+  let d = dcache proc in
+  match Dcache.stripes d with
+  | None -> rename_locked proc old_path new_path
+  | Some tab -> (
+    match (split_basename old_path, split_basename new_path) with
+    | Some (old_dir, old_name), Some (new_dir, new_name) -> (
+      match (resolve_dir proc old_dir, resolve_dir proc new_dir) with
+      | Some po, Some pn when po.dentry.d_sb == pn.dentry.d_sb -> (
+        Rwlock.read_lock (Dcache.lock d);
+        (* both parents' stripes, in index order — the cross-rename
+           deadlock case (A→B in one domain, B→A in another) serializes
+           on whichever stripe sorts first *)
+        let si = Locktab.index tab po.dentry.d_id and sj = Locktab.index tab pn.dentry.d_id in
+        enter_section d tab si sj (fun cs -> cs.cs_rename);
+        match (live_dir po, live_dir pn) with
+        | Some odir, Some ndir -> (
+          let src = striped_target d po odir old_name in
+          match plan_rename proc d src pn ndir new_name with
+          | Some dst ->
+            let r = run_section d tab si sj rename_body proc src dst in
+            note_lookup proc old_path;
+            note_lookup proc new_path;
+            r
+          | None ->
+            release d tab si sj;
+            rename_locked proc old_path new_path)
+        | _ ->
+          release d tab si sj;
+          rename_locked proc old_path new_path)
+      | _ -> rename_locked proc old_path new_path)
+    | _ -> rename_locked proc old_path new_path)
 
 let link proc old_path new_path =
   sys (cells proc).sys_link;
@@ -1416,43 +1096,42 @@ let link proc old_path new_path =
       let* old_inode = positive_inode old_ref.dentry in
       if Inode.is_dir old_inode then Error Errno.EPERM
       else begin
-        let* p = resolve_parent_locked proc new_path in
-        if not (p.Walk.parent.dentry.d_sb == old_ref.dentry.d_sb) then Error Errno.EXDEV
+        let* tg = target_locked proc new_path in
+        if not (tg.at.dentry.d_sb == old_ref.dentry.d_sb) then Error Errno.EXDEV
         else begin
-          match p.Walk.child with
+          match tg.child with
           | Some child when dentry_is_positive child -> Error Errno.EEXIST
           | _ ->
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
+            let* () = writable_dir proc tg in
             let* attr =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.link (Inode.ino dir_inode) p.Walk.last
-                   (Inode.ino old_inode))
+              tg.at.dentry.d_sb.sb_fs.Fs.link (Inode.ino tg.dir) tg.name (Inode.ino old_inode)
             in
-            refresh_dir_attr dir_inode;
+            refresh_dir_attr tg.dir;
             Inode.bump_nlink old_inode 1;
-            ignore (instantiate proc p { attr with Attr.nlink = (Inode.attr old_inode).Attr.nlink });
+            ignore (instantiate proc tg { attr with Attr.nlink = (Inode.attr old_inode).Attr.nlink });
             Ok ()
         end
       end)
 
+let symlink_body proc ~target tg =
+  match tg.child with
+  | Some child when dentry_is_positive child -> Error Errno.EEXIST
+  | _ ->
+    let* () = writable_dir proc tg in
+    let* attr =
+      tg.at.dentry.d_sb.sb_fs.Fs.symlink (Inode.ino tg.dir) tg.name ~target
+        ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred)
+    in
+    refresh_dir_attr tg.dir;
+    ignore (instantiate proc tg attr);
+    Ok ()
+
+let do_symlink ?start proc ~target path =
+  with_write proc (fun () -> Result.bind (target_locked ?start proc path) (symlink_body proc ~target))
+
 let symlink proc ~target path =
   sys (cells proc).sys_symlink;
-  with_write proc (fun () ->
-      let* p = resolve_parent_locked proc path in
-      match p.Walk.child with
-      | Some child when dentry_is_positive child -> Error Errno.EEXIST
-      | _ ->
-        let* () = check_write_dir proc p in
-        let* dir_inode = parent_dir_inode p in
-        let* attr =
-          map_fs_result
-            (p.Walk.parent.dentry.d_sb.sb_fs.Fs.symlink (Inode.ino dir_inode) p.Walk.last
-               ~target ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred))
-        in
-        refresh_dir_attr dir_inode;
-        ignore (instantiate proc p attr);
-        Ok ())
+  do_symlink proc ~target path
 
 let mkstemp ?prng ?(prefix = "tmp") proc dir =
   sys (cells proc).sys_mkstemp;
@@ -1627,87 +1306,17 @@ let with_dirfd proc dirfd k =
   if not (Inode.is_dir fd.Proc.fd_inode) then Error Errno.ENOTDIR
   else k fd.Proc.fd_ref
 
-let mkdirat ?mode proc dirfd path =
+let mkdirat ?(mode = Mode.default_dir) proc dirfd path =
   sys (cells proc).sys_mkdirat;
-  with_dirfd proc dirfd (fun start ->
-      match
-        sharded_mkdir ~start ~mode:(Option.value mode ~default:Mode.default_dir) proc path
-      with
-      | Done r -> r
-      | Legacy ->
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked ~start proc path in
-          match p.Walk.child with
-          | Some child when dentry_is_positive child -> Error Errno.EEXIST
-          | _ ->
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* attr =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.create (Inode.ino dir_inode) p.Walk.last
-                   File_kind.Directory
-                   (Option.value mode ~default:Mode.default_dir)
-                   ~uid:(Cred.uid proc.Proc.cred) ~gid:(Cred.gid proc.Proc.cred))
-            in
-            Inode.bump_nlink dir_inode 1;
-            refresh_dir_attr dir_inode;
-            let child = instantiate proc p attr in
-            Dcache.set_complete (dcache proc) child;
-            Ok ()))
+  with_dirfd proc dirfd (fun start -> do_mkdir ~start ~mode proc path)
 
 let unlinkat proc dirfd path =
   sys (cells proc).sys_unlinkat;
-  with_dirfd proc dirfd (fun start ->
-      match sharded_unlink ~start proc path with
-      | Done r -> r
-      | Legacy ->
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked ~start proc path in
-          match p.Walk.child with
-          | None -> Error Errno.ENOENT
-          | Some child -> (
-            match child.d_state with
-            | Negative e -> Error e
-            | Partial _ | Positive _ ->
-              if dentry_is_dir child then Error Errno.EISDIR
-              else begin
-                let* () = check_not_mountpoint proc p child in
-                let* () = check_write_dir proc p in
-                let* dir_inode = parent_dir_inode p in
-                let* child_inode = positive_inode child in
-                let* () =
-                  map_fs_result
-                    (p.Walk.parent.dentry.d_sb.sb_fs.Fs.unlink (Inode.ino dir_inode)
-                       p.Walk.last)
-                in
-                refresh_dir_attr dir_inode;
-                Dcache.bump_dir_gen p.Walk.parent.dentry;
-                Inode.bump_nlink child_inode (-1);
-                if (Inode.attr child_inode).Attr.nlink <= 0 then
-                  Dcache.iforget child.d_sb (Inode.ino child_inode);
-                Dcache.note_unlinked (dcache proc) child;
-                Ok ()
-              end)))
+  with_dirfd proc dirfd (fun start -> do_unlink ~start proc path)
 
 let symlinkat proc ~target dirfd path =
   sys (cells proc).sys_symlinkat;
-  with_dirfd proc dirfd (fun start ->
-      with_write proc (fun () ->
-          let* p = resolve_parent_locked ~start proc path in
-          match p.Walk.child with
-          | Some child when dentry_is_positive child -> Error Errno.EEXIST
-          | _ ->
-            let* () = check_write_dir proc p in
-            let* dir_inode = parent_dir_inode p in
-            let* attr =
-              map_fs_result
-                (p.Walk.parent.dentry.d_sb.sb_fs.Fs.symlink (Inode.ino dir_inode)
-                   p.Walk.last ~target ~uid:(Cred.uid proc.Proc.cred)
-                   ~gid:(Cred.gid proc.Proc.cred))
-            in
-            refresh_dir_attr dir_inode;
-            ignore (instantiate proc p attr);
-            Ok ()))
+  with_dirfd proc dirfd (fun start -> do_symlink ~start proc ~target path)
 
 let readlinkat proc dirfd path =
   sys (cells proc).sys_readlinkat;
@@ -1764,16 +1373,45 @@ let invalidate_negatives proc path =
   Dcache.invalidate_negatives (dcache proc) ref_.dentry.d_sb;
   Ok ()
 
+(* Callback invalidation through the parent + target stripes (§3.7): a
+   netfs lease break evicts one cached name, and funnelling every break
+   through the global write lock would reserialize exactly the workload the
+   stripes exist for.  The peek footprint holds the target's own-id stripe,
+   which guards its direct children; deeper subtrees, mountpoints and
+   [Partial] targets take the write lock, where the full nofollow walk
+   names the victim. *)
+let plan_invalidate proc () tg =
+  match tg.child with
+  | None -> false
+  | Some child -> (
+    match child.d_state with
+    | Negative _ -> true
+    | Partial _ -> false
+    | Positive _ ->
+      no_grandchildren child && not (Mount.is_mountpoint proc.Proc.ns tg.at.mnt child))
+
+let evict proc ~striped dentry =
+  match dentry.d_state with
+  | Negative e -> Error e
+  | Partial _ | Positive _ ->
+    ignore (Dcache.invalidate_structure (dcache proc) dentry);
+    Dcache.unhash ~reclaim:true (dcache proc) dentry;
+    if striped then Counter.bump (cells proc).sharded_cb_invalidate;
+    Ok ()
+
+let invalidate_body proc () tg =
+  match tg.child with
+  | Some child -> evict proc ~striped:tg.striped child
+  | None -> Error Errno.ENOENT
+
+let invalidate_locked proc () path =
+  let* ref_ = resolve_locked ?flags:f_nofollow proc path in
+  evict proc ~striped:false ref_.dentry
+
 let invalidate_path proc path =
   sys (cells proc).sys_invalidate_path;
-  match sharded_invalidate proc path with
-  | Done r -> r
-  | Legacy ->
-    with_write proc (fun () ->
-        let* ref_ = resolve_locked ?flags:f_nofollow proc path in
-        Dcache.invalidate_structure (dcache proc) ref_.dentry |> ignore;
-        Dcache.unhash ~reclaim:true (dcache proc) ref_.dentry;
-        Ok ())
+  mutate proc ~site:(fun cs -> cs.cs_invalidate) ~peek:true ~plan:plan_invalidate
+    ~body:invalidate_body ~global:(Some invalidate_locked) () path
 
 (* --- convenience wrappers --- *)
 

@@ -136,12 +136,12 @@ val invalidate_negatives : Proc.t -> string -> unit r
 (** {1 Crash-fault coverage (stripe-locked sections)} *)
 
 val install_crash_sites : Dcache_util.Fault.t -> unit
-(** Register crash points inside the sharded mutation sections —
+(** Register crash points inside the stripe-locked mutation sections —
     ["syscalls.sharded_create"], ["syscalls.sharded_unlink"],
     ["syscalls.sharded_rename"], ["syscalls.sharded_invalidate"],
     ["syscalls.sharded_mkdir"], ["syscalls.sharded_rmdir"] — on the
     given injector.  Each fires between the stripe seqcount bump and the
-    dcache splice and raises {!Dcache_util.Fault.Crash} out of the
+    mutation body and raises {!Dcache_util.Fault.Crash} out of the
     syscall; the section releases its stripe(s) and the read lock on the
     way out, so a subsequent {!Kernel.scrub} fully repairs the cache.
     Sites are module-global (the sections are hot paths and carry no

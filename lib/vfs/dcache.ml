@@ -178,9 +178,10 @@ let with_read t f = Rwlock.with_read t.lock f
 let with_write t f =
   Rwlock.write_lock t.lock;
   (* Residual-global accounting: with stripes on, every mutation that still
-     funnels through the exclusive lock (Legacy bailouts, eviction, DLHT
-     grow, subtree invalidation too wide to stripe) shows up here, surfaced
-     in /proc/dcache/stripes so the sharding follow-ons can be tracked. *)
+     funnels through the exclusive lock (shapes a mutation's plan keeps off
+     its stripes, eviction, DLHT grow, subtree invalidation too wide to
+     stripe) shows up here, surfaced in /proc/dcache/stripes so the
+     sharding follow-ons can be tracked. *)
   Counter.bump t.cells.global_write_acquired;
   Seqcount.write_begin t.write_seq;
   match f () with

@@ -158,6 +158,88 @@ let equivalence_test extra_label config_b =
       end;
       true)
 
+(* The *at() family: mkdir, unlink, symlink and O_CREAT|O_EXCL opens
+   relative to a dirfd opened on "/" or a random directory, interleaved
+   with ordinary ops that shape the tree.  A separate generator, so the
+   seed-fixed [golden_trace] (drawn from [op_gen]) is untouched. *)
+type at_call = Mkdirat | Unlinkat | Symlinkat of string | Openat_excl
+
+type at_op = Op of op | At of string * at_call * string
+
+let pp_at_op = function
+  | Op op -> pp_op op
+  | At (dir, call, path) ->
+    let call =
+      match call with
+      | Mkdirat -> "mkdirat"
+      | Unlinkat -> "unlinkat"
+      | Symlinkat t -> "symlinkat -> " ^ t
+      | Openat_excl -> "openat O_CREAT|O_EXCL"
+    in
+    Printf.sprintf "%s [dirfd %s] %s" call dir path
+
+let at_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun op -> Op op) op_gen);
+        ( 2,
+          let* dir = frequency [ (1, return "/"); (2, path_gen) ] in
+          let* path = path_gen in
+          let* call =
+            frequency
+              [
+                (1, return Mkdirat);
+                (1, return Unlinkat);
+                (1, map (fun t -> Symlinkat t) path_gen);
+                (1, return Openat_excl);
+              ]
+          in
+          return (At (dir, call, path)) );
+      ])
+
+let run_at_op root_p user_p = function
+  | Op op -> run_op root_p user_p op
+  | At (dir, call, path) -> (
+    let p = root_p in
+    match S.openf p dir [ Proc.O_RDONLY; Proc.O_DIRECTORY ] with
+    | Error e -> obs "opendir" (Error e)
+    | Ok dirfd ->
+      let unit r = Result.map (fun () -> "") r in
+      let r =
+        match call with
+        | Mkdirat -> obs "mkdirat" (unit (S.mkdirat p dirfd path))
+        | Unlinkat -> obs "unlinkat" (unit (S.unlinkat p dirfd path))
+        | Symlinkat target -> obs "symlinkat" (unit (S.symlinkat p ~target dirfd path))
+        | Openat_excl ->
+          obs "openat"
+            (Result.map
+               (fun fd -> Result.fold ~ok:(fun () -> "") ~error:Errno.to_string (S.close p fd))
+               (S.openat p dirfd path [ Proc.O_CREAT; Proc.O_EXCL; Proc.O_WRONLY ]))
+      in
+      ignore (S.close p dirfd);
+      r)
+
+let at_family_test =
+  QCheck.Test.make ~name:"baseline == optimized on *at() traces" ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_at_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) at_op_gen))
+    (fun ops ->
+      let run config =
+        let kernel = Kernel.create ~config ~root_fs:(Dcache_fs.Ramfs.create ()) () in
+        let root_p = Proc.spawn kernel in
+        let user_p = Proc.spawn ~cred:(Cred.make ~uid:1000 ~gid:1000 ()) kernel in
+        List.map (run_at_op root_p user_p) ops
+      in
+      List.iteri
+        (fun i (a, b) ->
+          if a <> b then
+            QCheck.Test.fail_reportf "op %d (%s):\n  baseline: %s\n  optimized: %s" i
+              (pp_at_op (List.nth ops i)) a b)
+        (List.combine (run Config.baseline) (run Config.optimized));
+      true)
+
 (* Re-running the same trace twice on one optimized kernel must agree with a
    fresh kernel on the second run's reads: cached state never goes stale. *)
 let idempotence_test =
@@ -859,6 +941,9 @@ let suite =
     QCheck_alcotest.to_alcotest
       (equivalence_test "tiny-cache eviction"
          { Config.optimized with Config.max_dentries = 16 });
+    QCheck_alcotest.to_alcotest
+      (equivalence_test "unsharded mutations" { Config.optimized with Config.dcache_stripes = 0 });
+    QCheck_alcotest.to_alcotest at_family_test;
     QCheck_alcotest.to_alcotest idempotence_test;
     golden_test "baseline" Config.baseline Golden_counters.baseline;
     golden_test "optimized" Config.optimized Golden_counters.optimized;

@@ -474,6 +474,8 @@ let crash_site_names =
     "syscalls.sharded_unlink";
     "syscalls.sharded_rename";
     "syscalls.sharded_invalidate";
+    "syscalls.sharded_mkdir";
+    "syscalls.sharded_rmdir";
   |]
 
 let run_stripe_crash_schedule s =
@@ -504,7 +506,18 @@ let run_stripe_crash_schedule s =
               (S.rename p
                  (Printf.sprintf "/w/x/f%d" (Prng.int prng 6))
                  (Printf.sprintf "/w/y/r%d" round))
-          | _ -> ignore (S.invalidate_path p "/w/x")
+          | 3 -> ignore (S.invalidate_path p "/w/x")
+          | 4 ->
+            (* a fresh name over a seeded negative, so the section is
+               reached even when the parent is not complete *)
+            let path = Printf.sprintf "/w/y/m%d" round in
+            get "seed negative" (S.write_file p path "x");
+            get "seed negative" (S.unlink p path);
+            ignore (S.mkdir p path)
+          | _ ->
+            let path = Printf.sprintf "/w/y/e%d" round in
+            get "empty dir" (S.mkdir p path);
+            ignore (S.rmdir p path)
         in
         (try op () with Fault.Crash _ -> incr crashes);
         Fault.disarm site;

@@ -273,3 +273,89 @@ let procfs_suite =
       let summary = get "summary" (S.read_file p "/proc/dcache/summary") in
       Alcotest.(check bool) "has dentry count" true
         (Kit.contains_substring summary "dentries "))
+
+(* Mutation routing: which lock footprint each mutation shape takes,
+   read from counter deltas around the single call.  A stripe-routed call
+   takes no global write lock and bumps at most its own [sharded_*]
+   counter (a verdict reached under the stripe, such as EEXIST, bumps
+   none); a global-routed call takes the write lock and bumps no
+   [sharded_*] counter.  With [dcache_stripes = 0] every shape is global. *)
+let sharded_counters =
+  [ "sharded_create"; "sharded_unlink"; "sharded_rename"; "sharded_mkdir"; "sharded_rmdir";
+    "sharded_cb_invalidate" ]
+
+type route = Stripe of string option | Global
+
+let routing_script ~striped () =
+  let config = { Config.optimized with dcache_stripes = (if striped then 128 else 0) } in
+  let kernel, p = ram_kernel ~config () in
+  let check label expected f =
+    let snap () = List.map (counter kernel) ("global_write_acquired" :: sharded_counters) in
+    let before = snap () in
+    f ();
+    let deltas = List.map2 ( - ) (snap ()) before in
+    let global = List.hd deltas and sharded = List.combine sharded_counters (List.tl deltas) in
+    let moved = List.filter (fun (_, n) -> n <> 0) sharded in
+    match if striped then expected else Global with
+    | Global ->
+      Alcotest.(check bool) (label ^ ": global write lock taken") true (global >= 1);
+      Alcotest.(check (list (pair string int))) (label ^ ": no sharded counter") [] moved
+    | Stripe cell ->
+      Alcotest.(check int) (label ^ ": no global write lock") 0 global;
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": sharded counters") (Option.fold ~none:[] ~some:(fun c -> [ (c, 1) ]) cell)
+        moved
+  in
+  let touch path = get path (S.write_file p path "x") in
+  get "tree" (S.mkdir_p p "/d");
+  ignore (get "warm /d" (S.stat p "/d"));
+  touch "/d/a";
+  get "leave a negative" (S.unlink p "/d/a");
+  check "create over a cached negative" (Stripe (Some "sharded_create")) (fun () ->
+      let fd = get "create" (S.openf p "/d/a" [ Proc.O_CREAT; Proc.O_WRONLY ]) in
+      get "close" (S.close p fd));
+  check "O_EXCL create of a positive name" (Stripe None) (fun () ->
+      expect_err Errno.EEXIST "excl" (S.openf p "/d/a" [ Proc.O_CREAT; Proc.O_EXCL ]));
+  touch "/d/b";
+  get "negative target" (S.unlink p "/d/b");
+  check "rename onto a negative" (Stripe (Some "sharded_rename")) (fun () ->
+      get "rename" (S.rename p "/d/a" "/d/b"));
+  check "unlink" (Stripe (Some "sharded_unlink")) (fun () -> get "unlink" (S.unlink p "/d/b"));
+  check "mkdir" (Stripe (Some "sharded_mkdir")) (fun () -> get "mkdir" (S.mkdir p "/d/sub"));
+  check "rmdir of an empty cached directory" (Stripe (Some "sharded_rmdir")) (fun () ->
+      get "rmdir" (S.rmdir p "/d/sub"));
+  let dirfd = get "dirfd" (S.openf p "/d" [ Proc.O_RDONLY; Proc.O_DIRECTORY ]) in
+  check "mkdirat" (Stripe (Some "sharded_mkdir")) (fun () ->
+      get "mkdirat" (S.mkdirat p dirfd "sub2"));
+  touch "/d/e";
+  check "unlinkat" (Stripe (Some "sharded_unlink")) (fun () ->
+      get "unlinkat" (S.unlinkat p dirfd "e"));
+  get "close dirfd" (S.close p dirfd);
+  (* Dropping a cached name un-completes its parent, so this runs last on /d. *)
+  touch "/d/c";
+  check "invalidate_path" (Stripe (Some "sharded_cb_invalidate")) (fun () ->
+      get "invalidate" (S.invalidate_path p "/d/c"));
+  touch "/d/h";
+  get "link" (S.link p "/d/h" "/d/h2");
+  check "unlink with nlink = 2" Global (fun () -> get "unlink" (S.unlink p "/d/h"));
+  get "dir" (S.mkdir p "/d/dd");
+  check "directory rename" Global (fun () -> get "rename" (S.rename p "/d/dd" "/d/de"));
+  touch "/d/x";
+  touch "/d/y";
+  check "rename onto a positive target" Global (fun () ->
+      get "rename" (S.rename p "/d/x" "/d/y"));
+  get "mountpoint" (S.mkdir p "/d/mp");
+  get "mount" (S.mount_fs p (Dcache_fs.Ramfs.create ()) "/d/mp");
+  check "rmdir of a mountpoint" Global (fun () ->
+      expect_err Errno.EBUSY "busy" (S.rmdir p "/d/mp"));
+  Kernel.drop_caches kernel;
+  check "create under a cold parent" Global (fun () ->
+      let fd = get "create" (S.openf p "/d/cold" [ Proc.O_CREAT; Proc.O_WRONLY ]) in
+      get "close" (S.close p fd))
+
+let routing_suite =
+  [
+    Alcotest.test_case "mutation routing table [stripes]" `Quick (routing_script ~striped:true);
+    Alcotest.test_case "mutation routing table [dcache_stripes = 0]" `Quick
+      (routing_script ~striped:false);
+  ]

@@ -9,7 +9,7 @@ let () =
       ("vfs", T_vfs.suite @ T_vfs.path_suite);
       ("core", T_core.suite @ T_core.extra_suite @ T_core.chroot_suite @ T_core.dnlc_suite @ T_core.dlht_suite @ T_core.chunked_mutation_suite);
       ("alloc", T_alloc.suite);
-      ("syscalls", T_syscalls.suite @ T_syscalls.at_family_suite @ T_syscalls.procfs_suite);
+      ("syscalls", T_syscalls.suite @ T_syscalls.at_family_suite @ T_syscalls.procfs_suite @ T_syscalls.routing_suite);
       ("procfs", T_procfs.suite);
       ("trace", T_trace.suite);
       ("netfs", T_netfs.suite);

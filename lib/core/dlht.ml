@@ -40,9 +40,11 @@ module Locktab = Dcache_util.Locktab
 
    --- stripe locks ---
 
-   With [stripes] attached, every splice ([insert]/[remove]) runs under
-   the stripe for the signature's 22-bit bucket index masked to the stripe
-   count.  The stripe count never exceeds the initial bucket count and
+   With [stripes] attached, every [remove] splice — sharded sections shoot
+   dentries down — runs under the stripe for the signature's 22-bit
+   bucket index masked to the stripe count; [insert] runs only under the
+   dcache write lock, which excludes every stripe holder.  The stripe
+   count never exceeds the initial bucket count and
    tables only grow, so the stripe mask is a submask of every table mask:
    one signature maps to the same stripe in both tables, a whole bucket
    lives inside one stripe, and a bucket's migration re-splice stays
@@ -310,44 +312,18 @@ let remove d =
     d.d_dlht_ns <- None;
     Trace.stamp Trace.ev_dlht_remove d.d_id
 
+(* Every insert comes from an exclusive section: the caller holds the
+   dcache write lock, which excludes every sharded section (they all hold
+   the read side), and lockless probes validate against the global write
+   sequence that section bumps — so no stripe lock is taken, for the
+   splice or for dropping a previous membership. *)
 let insert t ns d signature =
-  remove d;
-  (match t.stripes with
-  | None ->
-    migrate_some t migrate_quantum;
-    splice t.tbl d signature;
-    Atomic.incr t.count;
-    d.d_dlht_ns <- Some ns;
-    maybe_grow t
-  | Some tab ->
-    (* [t.tbl] is stable here even though we only hold a stripe: it is
-       only swapped by [maybe_grow], which runs under the dcache write
-       lock, and every sharded section holds the read side. *)
-    let i = Locktab.index tab (Signature.bucket signature) in
-    Locktab.with_lock tab i (fun () ->
-        settle_in_stripe t signature;
-        splice t.tbl d signature;
-        Atomic.incr t.count;
-        d.d_dlht_ns <- Some ns));
-  Trace.stamp Trace.ev_dlht_insert d.d_id
-
-(* Exclusive-section variants (§3.9).  The caller holds the dcache write
-   lock, which excludes every sharded section (they all hold the read
-   side), and lockless probes validate against the global write sequence
-   — which the exclusive section bumps — so the per-bucket stripe locks
-   add nothing here.  The batched slowpath populates a whole group of
-   misses through these, taking zero DLHT stripe acquisitions where the
-   sequential fallback pays one [Locktab.with_lock] per splice. *)
-let remove_exclusive d =
-  match d.d_dlht_ns with
+  (match d.d_dlht_ns with
   | None -> ()
-  | Some ns ->
-    (match ns.ns_ext with Some (Dlht_ext t) -> remove_splice t d | Some _ | None -> ());
+  | Some old_ns ->
+    (match old_ns.ns_ext with Some (Dlht_ext o) -> remove_splice o d | Some _ | None -> ());
     d.d_dlht_ns <- None;
-    Trace.stamp Trace.ev_dlht_remove d.d_id
-
-let insert_exclusive t ns d signature =
-  remove_exclusive d;
+    Trace.stamp Trace.ev_dlht_remove d.d_id);
   (match t.stripes with
   | None -> migrate_some t migrate_quantum
   | Some _ -> ());
@@ -362,7 +338,7 @@ let insert_exclusive t ns d signature =
 (* Sharded-mode replacement for the migration/growth work that [insert] and
    [remove] no longer do inline (a sharded section must not touch buckets
    outside its own stripe).  Called from exclusive write sections — the
-   fastpath's slowpath populate — which excludes every sharded section. *)
+   fastpath's populate — which exclude every sharded section. *)
 let housekeep t =
   migrate_some t migrate_quantum;
   maybe_grow t

@@ -19,10 +19,11 @@
     [grow_load] the bucket array doubles, and subsequent mutations migrate a
     few pre-resize buckets each by re-splicing their intrusive chains — no
     stop-the-world rehash.  Probes check the current table, then the
-    pre-resize one while it drains.  Exclusive mutation (migration, scrub)
-    runs under the dcache write lock; with [stripes] attached, plain
-    insert/remove splices instead run under a per-stripe lock so multiple
-    writer domains can publish concurrently.  Lockless fastpath probes are
+    pre-resize one while it drains.  Exclusive mutation (insert,
+    migration, scrub) runs under the dcache write lock; with [stripes]
+    attached, remove splices instead run under a per-stripe lock so
+    sharded sections on several domains can shoot dentries down
+    concurrently.  Lockless fastpath probes are
     validated against the dcache write sequence — plus the probed stripe's
     seqcount when sharded — by the caller. *)
 
@@ -47,8 +48,8 @@ val locktab : t -> Locktab.t option
 (** The table's stripe locks, when sharded.  Readers index it with
     [Locktab.index tab (Signature.bucket s)] (or [Signature.buf_bucket])
     and record [Locktab.seq] snapshots before walking the chain; sharded
-    writers must take the stripe around {!insert}/{!remove} — which they
-    do internally — and nothing else. *)
+    writers must take the stripe around {!remove} — which it does
+    internally — and nothing else. *)
 
 val of_namespace_opt : namespace -> t option
 (** The namespace's table if one has been created; never creates. *)
@@ -61,19 +62,11 @@ val of_namespace_exn : namespace -> t
 val insert : t -> namespace -> dentry -> Signature.t -> unit
 (** Publish [dentry] under [signature]; removes any previous membership
     (other signature or other namespace) first and records the membership
-    on the dentry.  Unsharded, advances any in-flight incremental resize
-    and may start one; sharded, splices under the signature's stripe and
+    on the dentry.  Call under the dcache write lock: it excludes every
+    sharded section, and lockless probes validate against the global
+    write sequence it bumps, so no stripe lock is taken.  Unsharded,
+    advances any in-flight incremental resize and may start one; sharded,
     defers migration/growth to {!housekeep}. *)
-
-val insert_exclusive : t -> namespace -> dentry -> Signature.t -> unit
-(** {!insert} from an exclusive (dcache write-locked) section, skipping
-    the per-bucket stripe lock: the write lock excludes every sharded
-    section, and lockless probes validate against the global write
-    sequence the exclusive section bumps, so the stripe adds nothing.
-    The batched slowpath (§3.9) publishes a whole group of misses
-    through this — zero stripe acquisitions where sequential fallbacks
-    pay one per splice.  Sharded-mode migration/growth is deferred to
-    {!housekeep}, exactly as with sharded {!insert}. *)
 
 val housekeep : t -> unit
 (** Advance any in-flight incremental resize by one quantum and start one

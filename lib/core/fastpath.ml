@@ -8,7 +8,6 @@ module Config = Vfs.Config
 module Phases = Vfs.Phases
 module Signature = Dcache_sig.Signature
 module Counter = Dcache_util.Stats.Counter
-module Rwlock = Dcache_util.Rwlock
 module Seqcount = Dcache_util.Seqcount
 module Trace = Dcache_util.Trace
 module Profiler = Dcache_util.Profiler
@@ -94,8 +93,9 @@ let config t = Dcache.config t.dcache
    A dentry's hash state is the multilinear state after feeding its full
    canonical path *in the mount tree of the namespace it was reached in*:
    a mounted root inherits the state of its mountpoint.  States are computed
-   lazily and cached on the dentry; plain single-field writes make this safe
-   to run under the read lock (racing recomputations produce equal values). *)
+   lazily and cached on the dentry with plain single-field writes (racing
+   recomputations produce equal values), only where creating state is
+   allowed: under the write lock, never on the lockless probe. *)
 
 let rec ensure_hstate t (r : path_ref) =
   let d = r.dentry in
@@ -125,9 +125,15 @@ let rec ensure_hstate t (r : path_ref) =
 exception Fall_back
 
 (* The optimistic (lockless) probe observed a dcache write sequence change:
-   everything it read is suspect, retry under the read lock (RCU-walk →
-   ref-walk, §3.2).  Constant constructor — raising it allocates nothing. *)
+   everything it read is suspect, so it is retried (RCU-walk → ref-walk,
+   §3.2).  Constant constructor — raising it allocates nothing. *)
 exception Seq_retry
+
+(* The lockless probe needs state it may not create (a namespace's DLHT, a
+   credential's PCC, a dentry's hash state): not a race, so retrying
+   lockless would find it missing again — escalate to the write lock at
+   once.  Constant, like [Seq_retry]. *)
+exception Need_lock
 
 let real_of d = match d.d_alias with Some real -> real | None -> d
 
@@ -232,14 +238,14 @@ let pcc_of t ctx =
 
 (* --- lockless-probe discipline ---
 
-   A probe with [vsnap >= 0] runs without the read lock, validated against
+   A probe with [vsnap >= 0] runs without any lock, validated against
    the dcache write sequence it snapshotted.  Such a probe must be purely
    optimistic: it may read anything (racy single-field reads of immediates
    and pointers cannot tear in OCaml) but must not create subsystem state —
    creation is a mutation, and mutations belong under the lock.  So the
-   lockless variants of the accessors below refuse to create (retrying
-   under the lock instead, where the creating versions run), and cached
-   hash states are consumed but never computed ([hstate_of]): a state
+   lockless variants of the accessors below refuse to create (raising
+   [Need_lock]: the write-locked resolver runs the creating versions), and
+   cached hash states are consumed but never computed ([hstate_of]): a state
    derived from a concurrently-mutated ancestor chain could be garbage, and
    caching garbage would outlive the retry. *)
 
@@ -248,7 +254,7 @@ let dlht_for t ctx vsnap =
   else begin
     match Dlht.of_namespace_exn ctx.Walk.ns with
     | dlht -> dlht
-    | exception Not_found -> raise Seq_retry
+    | exception Not_found -> raise_notrace Need_lock
   end
 
 let pcc_for t ctx vsnap =
@@ -256,13 +262,13 @@ let pcc_for t ctx vsnap =
   else begin
     match Pcc.of_cred_exn ctx.Walk.cred ctx.Walk.ns with
     | pcc -> pcc
-    | exception Not_found -> raise Seq_retry
+    | exception Not_found -> raise_notrace Need_lock
   end
 
 let hstate_of t vsnap (r : path_ref) =
   if vsnap < 0 then ensure_hstate t r
   else begin
-    match r.dentry.d_hstate with Some state -> state | None -> raise Seq_retry
+    match r.dentry.d_hstate with Some state -> state | None -> raise_notrace Need_lock
   end
 
 (* --- per-domain probe scratch --- *)
@@ -276,7 +282,7 @@ type scratch = {
      allocation-free.  On a miss the snapshots are re-finalized into
      [pbuf] ([sbuf] still holds the full-path digest) for the
      deepest-first ancestor scan.  The three mutable fields carry the
-     probe's verdict to the write-locked fallback: which path the
+     probe's verdict to the write-locked resolver: which path the
      snapshots describe (physical identity — never read as a string), the
      global invalidation counter observed before any cached state was
      consumed, and the deepest viable ancestor slot (-1: none). *)
@@ -285,6 +291,10 @@ type scratch = {
   mutable snap_path : string;
   mutable snap_inval : int;
   mutable resume_slot : int;
+  (* The state the scan last resumed from — the probe's start, or the
+     parent a Linux-step ".." climbed to — which a lexical ".." that pops
+     the first name after it rewinds to. *)
+  mutable base_state : Signature.state;
   (* Errno carried by a [Neg_fail] verdict — stashed here so the exception
      itself can stay constant (raising allocates nothing: the fast-fail may
      fire on every probe of a repeatedly missed name). *)
@@ -314,7 +324,7 @@ type scratch = {
 }
 
 (* Per-domain because fig8-style benchmarks probe concurrently from several
-   domains under the read lock. *)
+   domains. *)
 let stripe_cap = 4096
 
 let scratch_key =
@@ -327,6 +337,7 @@ let scratch_key =
         snap_path = "";
         snap_inval = -1;
         resume_slot = -1;
+        base_state = Signature.empty_state;
         neg_errno = Errno.ENOENT;
         stripe_n = 0;
         stripe_seqs = Array.make stripe_cap (Seqcount.create ());
@@ -340,8 +351,8 @@ let scratch_key =
 
 (* --- stripe recording (sharded mode) ---
 
-   Unsharded, every helper below is a dead [None] branch — the legacy
-   lockless probe is unchanged to the instruction.  Sharded, the probe
+   Unsharded, every helper below is a dead [None] branch — the dcache-wide
+   write sequence alone validates the probe.  Sharded, the probe
    records each stripe seqcount before performing the reads that stripe
    guards; [commit_check] then proves the whole read set raced no sharded
    writer, exactly as the dcache-wide write sequence proves it raced no
@@ -453,130 +464,15 @@ let at_ns_root ctx =
   ctx.Walk.root.mnt.mnt_mountpoint = None
   && ctx.Walk.root.dentry == ctx.Walk.root.mnt.mnt_root
 
-(* One fastpath sub-lookup used by Linux dot-dot semantics (§4.2): resolve
-   the prefix walked so far to a (checked) directory. *)
-let probe_prefix t dlht pcc state =
-  let signature = Signature.finalize t.key state in
-  match Dlht.find dlht ~key:t.key signature with
-  | None -> raise Fall_back
-  | Some literal ->
-    let real = real_of literal in
-    validate t pcc literal real;
-    if not (dentry_is_dir real) then raise Fall_back;
-    (match real.d_mnt with Some mnt -> { mnt; dentry = real } | None -> raise Fall_back)
-
-let rec fast_dotdot ctx (cur : path_ref) =
-  if cur.dentry == ctx.Walk.root.dentry && cur.mnt == ctx.Walk.root.mnt then cur
-  else begin
-    match Vfs.Mount.follow_up cur with
-    | Some up -> fast_dotdot ctx up
-    | None -> (
-      match cur.dentry.d_parent with
-      | Some parent -> { cur with dentry = parent }
-      | None -> cur)
-  end
-
-(* --- list-based probe (lexical dot-dot mode) ---
-
-   Plan 9 lexical semantics rewrite the component list before hashing, so
-   this mode keeps the [Path.split]-based walk; only the (default) Linux
-   mode gets the in-place scanner below. *)
-
-let probe t ctx ~(start : path_ref) ~(flags : Walk.flags) path =
-  let cfg = config t in
-  let dlht = dlht_of t ctx in
-  let pcc = pcc_of t ctx in
-  let absolute = Path.is_absolute path in
-  let trailing_slash = Path.has_trailing_slash path in
-  let t0 = Phases.stamp () in
-  let components =
-    match Path.split path with
-    | Ok comps ->
-      if cfg.Config.dotdot = Config.Dotdot_lexical then Path.lexical_normalize comps
-      else comps
-    | Error e -> raise (Errno.Error e)
-  in
-  Phases.record_span Phases.Scan_hash t0;
-  let t0 = Phases.stamp () in
-  let base = ensure_hstate t (if absolute then ctx.Walk.root else start) in
-  Phases.record_span Phases.Init t0;
-  (* Hash the canonical path, handling dot-dot per the configured
-     semantics; lexical mode has already removed them. *)
-  let t0 = Phases.stamp () in
-  let state =
-    List.fold_left
-      (fun state comp ->
-        match comp with
-        | Path.Cur -> state
-        | Path.Name name ->
-          Signature.feed_string t.key (Signature.feed_char t.key state '/') name
-        | Path.Up ->
-          (* Linux semantics: an extra fastpath lookup of the prefix to
-             preserve permission checks, then resume from the parent's
-             state (§4.2). *)
-          Counter.bump t.c_dotdot;
-          let prefix = probe_prefix t dlht pcc state in
-          let up = fast_dotdot ctx prefix in
-          ensure_hstate t up)
-      base components
-  in
-  Phases.record_span Phases.Scan_hash t0;
-  let signature = Signature.finalize t.key state in
-  let t0 = Phases.stamp () in
-  let literal =
-    match Dlht.find dlht ~key:t.key signature with
-    | Some d -> d
-    | None ->
-      Trace.bump_cause Trace.cause_cold;
-      raise Fall_back
-  in
-  Phases.record_span Phases.Table_lookup t0;
-  let t0 = Phases.stamp () in
-  validate t pcc literal (real_of literal);
-  Phases.record_span Phases.Permission t0;
-  let t0 = Phases.stamp () in
-  let result =
-    let at_root = at_ns_root ctx in
-    match literal.d_state with
-    | Negative errno ->
-      if not (Dcache.negative_current literal) then raise Fall_back;
-      Counter.bump t.c_neg;
-      Trace.stamp Trace.ev_fast_neg 0;
-      Error errno
-    | Positive _ | Partial _ -> (
-      let sc = Domain.DLS.get scratch_key in
-      let final =
-        chase t dlht pcc sc ~follow_last:flags.Walk.follow_last ~at_ns_root:at_root
-          literal 8
-      in
-      match final.d_state with
-      | Negative errno ->
-        if not (Dcache.negative_current final) then raise Fall_back;
-        Counter.bump t.c_neg;
-        Trace.stamp Trace.ev_fast_neg 0;
-        Error errno
-      | Partial _ -> raise Fall_back
-      | Positive _ ->
-        if (flags.Walk.must_dir || trailing_slash) && not (dentry_is_dir final) then
-          Error Errno.ENOTDIR
-        else begin
-          match final.d_mnt with
-          | None -> raise Fall_back
-          | Some mnt ->
-            final.d_last_used <- Dcache.new_tick t.dcache;
-            Ok { mnt; dentry = final }
-        end)
-  in
-  Phases.record_span Phases.Finalize t0;
-  result
-
 (* --- in-place probe (allocation-free warm path) ---
 
-   The default (Linux dot-dot) mode scans the raw path string component by
-   component, feeding bytes straight into a preallocated per-domain hash
-   state — no [Path.split] list, no intermediate state records, no closures.
-   A warm DLHT hit on a plain path performs zero minor-heap allocation
-   (asserted by test and measured by the [alloc] benchmark). *)
+   The probe scans the raw path string component by component, feeding
+   bytes straight into a preallocated per-domain hash state — no
+   [Path.split] list, no intermediate state records, no closures — and
+   handles ".." in place under either semantics.  A warm DLHT hit on a
+   plain path, or on a lexical path whose ".." only pop names, performs
+   zero minor-heap allocation (asserted by test and measured by the
+   [alloc] benchmark). *)
 
 (* Raw-string mirror of [Path.split]'s validation, so the scanner never
    discovers a limit violation halfway through a probe: 0 ok, 1 empty path
@@ -599,10 +495,12 @@ let validate_raw path =
   let len = String.length path in
   if len = 0 then 1 else if len > Path.max_path then 2 else validate_components path len 0
 
-(* Dot-dot sub-probe against the running in-place state.  Allocates a
-   [path_ref] for the prefix hop: paths with ".." are not part of the
-   zero-allocation guarantee (they were never constant-time either). *)
-let probe_prefix_buf t dlht pcc sc =
+(* Dot-dot sub-probe against the running in-place state (Linux semantics,
+   §4.2: the prefix must resolve to a checked directory).  Allocates a
+   [path_ref] for the prefix hop: paths with a Linux-step ".." are not part
+   of the zero-allocation guarantee (they were never constant-time
+   either). *)
+let dotdot_subprobe t dlht pcc sc =
   Signature.finalize_into t.key sc.ms sc.sbuf;
   record_chain sc dlht (Signature.buf_bucket sc.sbuf);
   match Dlht.find_buf dlht ~key:t.key sc.sbuf with
@@ -654,7 +552,7 @@ let rec next_component_span path pos =
   end
 
 (* Deepest-first scan over the recorded boundary snapshots, run at the
-   probe's final-miss site (lockless or read-locked).  The first cached
+   probe's final-miss site (lockless or write-locked).  The first cached
    ancestor found decides:
 
    - a cached negative: the whole path fails with its errno — return it
@@ -664,7 +562,7 @@ let rec next_component_span path pos =
    - a DIR_COMPLETE positive directory whose next suffix component is not
      in the dcache: definitive ENOENT (§5.1), same no-lock fast-fail;
    - any other PCC-valid positive directory: the resume candidate — its
-     slot is left in [sc.resume_slot] for [fallback] to re-validate under
+     slot is left in [sc.resume_slot] for the resolver to re-validate under
      the write lock, and the probe falls back.
 
    Candidates that fail PCC validation, are not directories, or carry no
@@ -755,14 +653,23 @@ let prefix_miss t dlht pcc sc path ~vsnap =
     prefix_scan t dlht pcc sc path ~vsnap (Signature.snaps_count sc.snaps - 2);
   raise Fall_back
 
-(* Scan-and-hash driver for the in-place probe.  On a ".." (Linux
-   semantics): sub-probe the prefix walked so far, step up, resume hashing
-   from the parent's cached state (§4.2).  Top-level recursion, not a loop
-   over refs, for the usual no-flambda reason.  Every fed component leaves
-   a boundary snapshot in [sc.snaps] for the miss handler — including
-   across ".." hops: post-resume states are still canonical-prefix states
-   and their cursors still delimit the remaining suffix, so resuming from
-   any recorded slot replays exactly what a from-scratch walk would do. *)
+(* Scan-and-hash driver for the in-place probe; on each "..":
+   - Plan 9 lexical semantics, after a name fed since the last base: pop
+     that name's boundary snapshot and resume hashing from the state before
+     it — ".." is simply removed before hashing (§4.2).  The surviving
+     slot's cursor moves past the "..", so prefix resume and the
+     DIR_COMPLETE fast-fail never see the dropped name.  A lexical ".."
+     either pops or finds nothing since the last base, so any recorded
+     boundary is one fed since it;
+   - otherwise (Linux semantics, or nothing to pop): sub-probe the prefix
+     walked so far, step up, resume hashing from the parent's cached state,
+     the new base.
+   Top-level recursion, not a loop over refs, for the usual no-flambda
+   reason.  Every fed component leaves a boundary snapshot in [sc.snaps]
+   for the miss handler — including across Linux-step hops: post-resume
+   states are still canonical-prefix states and their cursors still
+   delimit the remaining suffix, so resuming from any recorded slot
+   replays exactly what a from-scratch walk would do. *)
 let rec scan_and_hash t ctx dlht pcc sc path pos vsnap =
   let rc =
     Signature.hash_path_into_rec t.key sc.ms sc.snaps ~max_name:Path.max_name path ~pos
@@ -770,10 +677,17 @@ let rec scan_and_hash t ctx dlht pcc sc path pos vsnap =
   if rc = Signature.scan_done then ()
   else if rc = Signature.scan_toolong then raise Fall_back (* pre-validated; defensive *)
   else begin
-    Counter.bump t.c_dotdot;
-    let prefix = probe_prefix_buf t dlht pcc sc in
-    let up = fast_dotdot ctx prefix in
-    Signature.mstate_resume sc.ms (hstate_of t vsnap up);
+    if (config t).Config.dotdot = Config.Dotdot_lexical && Signature.snaps_count sc.snaps > 0
+    then begin
+      if Signature.snaps_overflowed sc.snaps then raise Fall_back;
+      Signature.snaps_pop sc.snaps sc.ms ~base:sc.base_state ~cursor:rc
+    end
+    else begin
+      Counter.bump t.c_dotdot;
+      let prefix = dotdot_subprobe t dlht pcc sc in
+      sc.base_state <- hstate_of t vsnap (Walk.follow_dotdot ctx prefix);
+      Signature.mstate_resume sc.ms sc.base_state
+    end;
     scan_and_hash t ctx dlht pcc sc path rc vsnap
   end
 
@@ -781,7 +695,8 @@ let rec scan_and_hash t ctx dlht pcc sc path pos vsnap =
    sequence snapshot to validate against at every commit point (just before
    an error, a success, or [within] — which has caller side effects and
    must run at most once on state that provably raced no writer).
-   [vsnap < 0]: the read lock is held, no validation needed. *)
+   [vsnap < 0]: the write lock is held, no validation needed, and missing
+   state is created. *)
 let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~vsnap =
   let dlht = dlht_for t ctx vsnap in
   let pcc = pcc_for t ctx vsnap in
@@ -800,7 +715,8 @@ let probe_into t ctx ~(start : path_ref) ~(flags : Walk.flags) sc path ~within ~
   sc.promote_dir <- None;
   sc.hh_id <- -1;
   Signature.snaps_reset sc.snaps;
-  Signature.mstate_resume sc.ms (hstate_of t vsnap base);
+  sc.base_state <- hstate_of t vsnap base;
+  Signature.mstate_resume sc.ms sc.base_state;
   Phases.record_span Phases.Init t0;
   let t1 = Phases.stamp () in
   scan_and_hash t ctx dlht pcc sc path 0 vsnap;
@@ -924,7 +840,7 @@ let target_signature t (r : path_ref) d inode =
         Some (Signature.finalize t.key state)
       end)
 
-let populate ?(exclusive = false) t ctx ~visited ~absolute ~start =
+let populate t ctx ~visited ~absolute ~start =
   match visited with
   | [] -> ()
   | _ :: _ ->
@@ -989,21 +905,15 @@ let populate ?(exclusive = false) t ctx ~visited ~absolute ~start =
           when File_kind.equal (Vfs.Inode.kind inode) File_kind.Symlink ->
           d.d_target_sig <- target_signature t r d inode
         | _ -> ());
-        if not (d.d_dlht_ns == Some ns && d.d_sig = Some signature) then begin
-          (* §3.9: a batched (grouped) populate runs under the exclusive
-             write lock and skips the per-splice stripe lock — the lock
-             already excludes every sharded section, and lockless probes
-             validate the global write sequence it bumps. *)
-          if exclusive then Dlht.insert_exclusive dlht ns d signature
-          else Dlht.insert dlht ns d signature
-        end;
+        if not (d.d_dlht_ns == Some ns && d.d_sig = Some signature) then
+          Dlht.insert dlht ns d signature;
         if allow_pcc && not t.simulate_pcc_miss then Pcc.insert pcc d
         end)
       visited;
     Counter.bump_by t.c_populated (List.length visited);
     (* Sharded mode defers DLHT migration/growth out of the per-splice path
-       (a stripe section must stay within its stripe); this write-locked
-       populate is where the table catches up. *)
+       (a stripe section must stay within its stripe); populate, always
+       write-locked, is where the table catches up. *)
     if Dcache.sharded t.dcache then Dlht.housekeep dlht
 
 (* Publish the deep negative dentry a DIR_COMPLETE fast-fail verdict
@@ -1014,7 +924,7 @@ let populate ?(exclusive = false) t ctx ~visited ~absolute ~start =
    verdict was an unlocked snapshot; everything it relied on is
    re-established under the write lock before anything is published (a
    complete directory with no cached child of the name definitively has no
-   such child, §5.1).  Never called with a lock held. *)
+   such child, §5.1).  Runs under the write lock. *)
 let promote_negfail_in t ctx dir name =
   if
     dir.d_hashed && dentry_is_dir dir
@@ -1043,10 +953,9 @@ let promote_negfail_in t ctx dir name =
       | _ -> ())
   end
 
-(* [locked]: the caller (a batched phase-2 section, §3.9) already holds
-   the write lock; otherwise it is taken here, per the historical
-   contract above. *)
-let promote_negfail_at t ctx sc path ~locked =
+(* [locked]: the caller (the write-locked resolver) already holds the
+   write lock; otherwise — a lockless fast-fail — it is taken here. *)
+let promote_negfail t ctx sc path ~locked =
   match sc.promote_dir with
   | None -> ()
   | Some dir ->
@@ -1058,8 +967,6 @@ let promote_negfail_at t ctx sc path ~locked =
       if locked then promote_negfail_in t ctx dir name
       else Dcache.with_write t.dcache (fun () -> promote_negfail_in t ctx dir name)
     end
-
-let promote_negfail t ctx sc path = promote_negfail_at t ctx sc path ~locked:false
 
 (* --- the public lookup --- *)
 
@@ -1118,144 +1025,114 @@ let resume_plan t ctx sc path =
       end)
   end
 
-(* Slowpath fallback: resolve with collection under the write lock and
-   repopulate the DLHT/PCC.  When the probe left a validated resume
-   candidate, only the uncached suffix is walked — from the longest cached
-   ancestor — so a deep miss costs O(suffix), not O(depth) (§3.5).  §3.2:
-   results may only repopulate if no shootdown ran concurrently; under the
-   coarse write lock the counter check never fires, but it documents (and
-   preserves) the protocol. *)
-(* The write-locked body, shared by the sequential [fallback] below and
-   the batched phase-2 group loop (§3.9).  [exclusive] threads to
-   {!populate}: a batched caller publishes through the stripe-free DLHT
-   insert, since its write lock covers the whole group. *)
-let fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive path ~within =
-  let invalidation_before = Dcache.invalidation_counter t.dcache in
-  let result, pop_start, pop_absolute =
+
+(* --- the write-locked resolver (§3.2, §3.5, §3.9) ---
+
+   Every lookup the lockless window cannot answer ends here, under the
+   write lock: sequential escalations one op at a time, batch phase 2 a
+   sorted group per acquisition.  Each op re-probes with state creation
+   (unless it is a validated miss and nothing has walked since — the
+   probe's verdict and its resume scratch still stand), then resolves by
+   walking: from the re-validated resume candidate when the probe left
+   one — by a single {!Walk.resume_sibling} step when the uncached suffix
+   is one plain name — else from the root or start.  Walk results
+   repopulate the DLHT and PCC only if no shootdown ran meanwhile (§3.2;
+   under the write lock the check never fires, but it documents and
+   preserves the protocol). *)
+
+let note_resume t depth =
+  Counter.bump t.c_prefix_resume;
+  Trace.stamp Trace.ev_prefix_resume depth;
+  Trace.record_resume_depth depth
+
+let publish t ctx ~inval ~visited ~absolute ~start =
+  if Dcache.invalidation_counter t.dcache = inval then populate t ctx ~visited ~absolute ~start
+
+let walk_and_publish t ctx ~flags ~absolute ~start ~plan path ~within =
+  let inval = Dcache.invalidation_counter t.dcache in
+  (* The walk collects, so the suffix prefixes are published and the next
+     miss lands one component deeper. *)
+  let flags = { flags with Walk.collect = true } in
+  let result, start, absolute =
     match plan with
     | Some (ancestor, depth, suffix) ->
-      Counter.bump t.c_prefix_resume;
-      Trace.stamp Trace.ev_prefix_resume depth;
-      Trace.record_resume_depth depth;
-      (* The resumed walk still collects, so the suffix prefixes are
-         published and the next miss lands one component deeper. *)
-      let r =
-        Walk.resolve_resumed t.dcache ctx
-          ~flags:{ flags with Walk.collect = true }
-          ~start_at:ancestor suffix
-      in
-      (r, ancestor, false)
-    | None ->
-      let r =
-        Walk.resolve_in_mode Walk.Ref t.dcache ctx
-          ~flags:{ flags with Walk.collect = true }
-          path
-      in
-      (r, start, absolute)
+      note_resume t depth;
+      (Walk.resolve_resumed t.dcache ctx ~flags ~start_at:ancestor suffix, ancestor, false)
+    | None -> (Walk.resolve_in_mode Walk.Ref t.dcache ctx ~flags path, start, absolute)
   in
-  (* §3.2 extended to I/O failures: a walk that died on a transient
-     EIO says nothing trustworthy about the tree — the visited prefix
-     may describe state the device no longer backs — so publish
-     nothing and let a later, healthy walk repopulate. *)
+  (* §3.2 extended to I/O failures: a walk that died on a transient EIO
+     says nothing trustworthy about the tree — the visited prefix may
+     describe state the device no longer backs — so publish nothing and
+     let a later, healthy walk repopulate. *)
   (match result.Walk.outcome with
   | Error Errno.EIO -> Counter.bump t.c_eio_no_populate
-  | Ok _ | Error _ ->
-    if Dcache.invalidation_counter t.dcache = invalidation_before then
-      populate ~exclusive t ctx ~visited:result.Walk.visited ~absolute:pop_absolute
-        ~start:pop_start);
-  match result.Walk.outcome with
-  | Ok r -> within r.mnt r.dentry
-  | Error e -> Error e
+  | Ok _ | Error _ -> publish t ctx ~inval ~visited:result.Walk.visited ~absolute ~start);
+  match result.Walk.outcome with Ok r -> within r.mnt r.dentry | Error e -> Error e
 
-let fallback t ctx ~flags ~absolute ~start ?sc path ~within =
-  Counter.bump t.c_fallback;
-  Trace.stamp Trace.ev_fallback 0;
-  Dcache.with_write t.dcache (fun () ->
-      let plan = match sc with Some sc -> resume_plan t ctx sc path | None -> None in
-      fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:false path ~within)
+(* The resume suffix's name when it is a single plain component ending the
+   path — the dominant batched shape once a group's first miss has walked
+   the shared prefix.  Shapes like "leaf/." or "leaf/" constrain the leaf's
+   kind and take the full walk. *)
+let sibling_name flags path suffix =
+  let span = next_component_span suffix 0 in
+  if flags.Walk.must_dir || Path.has_trailing_slash path || span < 0
+     || span land 0x1fff <> String.length suffix
+  then None
+  else Some (String.sub suffix (span lsr 13) ((span land 0x1fff) - (span lsr 13)))
 
-(* One deferred miss of a batched submission, under the write lock the
-   whole group shares (§3.9).  Beyond [fallback_walk] it adds the grouped
-   shortcut: when the resume candidate's uncached suffix is a single
-   plain component — the dominant shape once the group's first miss has
-   walked and populated the shared prefix — the full resumed walk
-   collapses to {!Walk.resume_sibling}: one permission check and one
-   probe-or-fill, no [walk_internal], no per-component accounting.  The
-   single-component test requires the span to end exactly at the suffix
-   end, so shapes like "leaf/." (which constrain the leaf's kind) still
-   take the full walk. *)
-let fallback_grouped t ctx ~flags ~absolute ~start ~sc path ~within =
+let slowpath t ctx ~flags ~start sc path ~within =
+  let ctx = if ctx.Walk.cwd == start then ctx else { ctx with Walk.cwd = start } in
+  let absolute = Path.is_absolute path in
   let plan = resume_plan t ctx sc path in
   match plan with
-  | Some (ancestor, depth, suffix)
-    when (not flags.Walk.must_dir) && not (Path.has_trailing_slash path) -> (
-    let span = next_component_span suffix 0 in
-    if span < 0 || span land 0x1fff <> String.length suffix then
-      fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:true path ~within
-    else begin
-      let pos = span lsr 13 in
-      let name = String.sub suffix pos ((span land 0x1fff) - pos) in
-      let invalidation_before = Dcache.invalidation_counter t.dcache in
+  | None -> walk_and_publish t ctx ~flags ~absolute ~start ~plan path ~within
+  | Some (ancestor, depth, suffix) -> (
+    match sibling_name flags path suffix with
+    | None -> walk_and_publish t ctx ~flags ~absolute ~start ~plan path ~within
+    | Some name -> (
+      let inval = Dcache.invalidation_counter t.dcache in
       match
-        Walk.resume_sibling t.dcache ctx ~start_at:ancestor
-          ~follow:flags.Walk.follow_last name
+        Walk.resume_sibling t.dcache ctx ~start_at:ancestor ~follow:flags.Walk.follow_last name
       with
       | `Bail ->
         (* Trailing symlink to follow: splicing is the walk's business. *)
-        fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:true path ~within
+        walk_and_publish t ctx ~flags ~absolute ~start ~plan path ~within
       | `Err e ->
-        Counter.bump t.c_prefix_resume;
-        Trace.stamp Trace.ev_prefix_resume depth;
-        Trace.record_resume_depth depth;
+        note_resume t depth;
         Error e
       | `Neg (child, errno) ->
-        Counter.bump t.c_prefix_resume;
-        Trace.stamp Trace.ev_prefix_resume depth;
-        Trace.record_resume_depth depth;
-        if Dcache.invalidation_counter t.dcache = invalidation_before then
-          populate ~exclusive:true t ctx
-            ~visited:[ { ancestor with dentry = child } ]
-            ~absolute:false ~start:ancestor;
+        note_resume t depth;
+        publish t ctx ~inval ~visited:[ { ancestor with dentry = child } ] ~absolute:false
+          ~start:ancestor;
         Error errno
       | `Child cref ->
-        Counter.bump t.c_prefix_resume;
-        Trace.stamp Trace.ev_prefix_resume depth;
-        Trace.record_resume_depth depth;
-        if Dcache.invalidation_counter t.dcache = invalidation_before then
-          populate ~exclusive:true t ctx ~visited:[ cref ] ~absolute:false
-            ~start:ancestor;
-        within cref.mnt cref.dentry
-    end)
-  | plan -> fallback_walk t ctx ~flags ~absolute ~start ~plan ~exclusive:true path ~within
+        note_resume t depth;
+        publish t ctx ~inval ~visited:[ cref ] ~absolute:false ~start:ancestor;
+        within cref.mnt cref.dentry))
 
-(* Second tier of the retry discipline: the optimistic probe failed its
-   seqcount validation, so probe again under the read lock, where writers
-   are excluded and no validation is needed.  Top-level (not a local
-   closure in [lookup_into_raw]): the warm path must not allocate an
-   environment for a function it calls only on retry. *)
-let probe_locked t ctx ~start ~flags sc path ~within =
-  Counter.bump t.c_locked_probe;
-  let lock = Dcache.lock t.dcache in
-  Rwlock.read_lock lock;
-  match probe_into t ctx ~start ~flags sc path ~within ~vsnap:(-1) with
+(* One op under the write lock.  [reprobe] is false only for a validated
+   sequential miss: its lockless verdict and scratch are still good. *)
+let resolve_locked t ctx ~start ~flags sc path ~within ~reprobe =
+  match
+    if reprobe then probe_into t ctx ~start ~flags sc path ~within ~vsnap:(-1)
+    else raise_notrace Fall_back
+  with
   | result ->
-    Rwlock.read_unlock lock;
+    (* Created state, or an earlier op of the group populated the path. *)
     Counter.bump t.c_hit;
     Trace.stamp Trace.ev_fast_hit 0;
     result
-  | exception Fall_back ->
-    Rwlock.read_unlock lock;
-    fallback t { ctx with Walk.cwd = start } ~flags ~absolute:(Path.is_absolute path) ~start
-      ~sc path ~within
   | exception Neg_fail ->
-    (* Prefix fast-fail (§3.5): answered from a cached ancestor, no walk,
-       no write lock (promotion, if any, takes it after the unlock). *)
-    Rwlock.read_unlock lock;
-    promote_negfail t ctx sc path;
+    promote_negfail t ctx sc path ~locked:true;
     Errno.to_error sc.neg_errno
-  | exception e ->
-    Rwlock.read_unlock lock;
-    raise e
+  | exception (Fall_back | Seq_retry) ->
+    (* [Seq_retry] here is only stripe-recording overflow on an absurdly
+       deep path — no stripe section runs beside the write lock. *)
+    Counter.bump t.c_fallback;
+    Trace.stamp Trace.ev_fallback 0;
+    slowpath t ctx ~flags ~start sc path ~within
+
+(* --- the lockless window (§3.2, mirroring RCU-walk → ref-walk) --- *)
 
 (* Attribute a lockless retry: if the namespace's DLHT is mid-resize, the
    write section we raced was (at least plausibly) the migration.  §3.8:
@@ -1270,70 +1147,76 @@ let note_lockless_retry t ctx sc =
   | Some dlht when Dlht.resizing dlht -> Trace.bump_cause Trace.cause_resize_retry
   | Some _ | None -> Trace.bump_cause Trace.cause_seqcount_retry
 
-(* --- sharded-mode retry discipline ---
-
-   Sharded writers hold the {e read} side of the dcache lock, so tier 2's
-   read-locked re-probe would exclude nothing: a probe that raced a stripe
-   write under the read lock would race it again.  Instead the optimistic
-   probe itself is retried a bounded number of times — a raced stripe
-   section is a few dozen instructions, so the race is gone almost
-   immediately — and only then does the lookup escalate to the
-   write-locked slowpath, which excludes sharded sections wholesale. *)
+(* A raced probe is retried lockless: the read lock would not exclude
+   sharded writers (they hold its read side), and a raced write section is
+   a few dozen instructions, so the race is gone almost immediately.  After
+   this many attempts (a writer storm) the op escalates to the write-locked
+   resolver, which excludes writers of both kinds. *)
 let max_sharded_attempts = 8
 
-let rec probe_sharded t ctx ~start ~flags sc path ~within ~attempt =
+(* One op's lockless attempt under the write-sequence snapshot [snap],
+   shared by the sequential loop and the batch window.  A committed
+   verdict is returned (a hit, or a cached negative); anything else leaves
+   classified:
+   - [Neg_fail]: a validated prefix fast-fail, errno in [sc.neg_errno];
+   - [Fall_back]: a believed miss — the snapshot and every recorded stripe
+     still validate, so "not cached" is trustworthy;
+   - [Seq_retry]: a race — the probe read state a writer was changing;
+   - [Need_lock]: state the lockless probe may not create. *)
+let probe_step t ctx ~start ~flags sc path ~within seq snap =
+  match probe_into t ctx ~start ~flags sc path ~within ~vsnap:snap with
+  | result ->
+    Counter.bump t.c_hit;
+    Trace.stamp Trace.ev_fast_hit 0;
+    result
+  | exception Fall_back ->
+    if Seqcount.read_validate seq snap && stripes_ok sc then raise_notrace Fall_back
+    else raise_notrace Seq_retry
+
+(* Escalation without a believed miss — state to create, or retries
+   exhausted — is counted as a write-locked ("locked") probe. *)
+let escalate t ctx ~start ~flags sc path ~within ~reprobe =
+  if reprobe then Counter.bump t.c_locked_probe;
+  Dcache.with_write t.dcache (fun () ->
+      resolve_locked t ctx ~start ~flags sc path ~within ~reprobe)
+
+let rec lookup_lockless t ctx ~start ~flags sc path ~within ~attempt =
   let seq = Dcache.write_seq t.dcache in
   let snap = Seqcount.read_begin seq in
-  if snap land 1 <> 0 then retry_sharded t ctx ~start ~flags sc path ~within ~attempt
+  (* An odd snapshot: a writer is mid-section right now (not counted). *)
+  if snap land 1 <> 0 then retry_lockless t ctx ~start ~flags sc path ~within ~attempt
   else begin
-    match probe_into t ctx ~start ~flags sc path ~within ~vsnap:snap with
-    | result ->
-      Counter.bump t.c_hit;
-      Trace.stamp Trace.ev_fast_hit 0;
-      result
+    match probe_step t ctx ~start ~flags sc path ~within seq snap with
+    | result -> result
     | exception Neg_fail ->
-      promote_negfail t ctx sc path;
+      (* Prefix fast-fail (§3.5): validated inside the probe, so as good
+         as a hit — answered without a lock or a walk. *)
+      promote_negfail t ctx sc path ~locked:false;
       Errno.to_error sc.neg_errno
+    | exception Fall_back -> escalate t ctx ~start ~flags sc path ~within ~reprobe:false
+    | exception Need_lock -> escalate t ctx ~start ~flags sc path ~within ~reprobe:true
     | exception Seq_retry ->
       note_lockless_retry t ctx sc;
-      retry_sharded t ctx ~start ~flags sc path ~within ~attempt
-    | exception Fall_back ->
-      if Seqcount.read_validate seq snap && stripes_ok sc then
-        fallback t { ctx with Walk.cwd = start } ~flags ~absolute:(Path.is_absolute path)
-          ~start ~sc path ~within
-      else begin
-        note_lockless_retry t ctx sc;
-        retry_sharded t ctx ~start ~flags sc path ~within ~attempt
-      end
+      retry_lockless t ctx ~start ~flags sc path ~within ~attempt
   end
 
-and retry_sharded t ctx ~start ~flags sc path ~within ~attempt =
-  if attempt + 1 >= max_sharded_attempts then begin
-    (* Retries exhausted (writer storm on these stripes): resolve
-       authoritatively under the write lock.  The scratch resume state is
-       re-validated there before use, so passing it is safe even after a
-       raced probe. *)
-    Counter.bump t.c_locked_probe;
-    fallback t { ctx with Walk.cwd = start } ~flags ~absolute:(Path.is_absolute path)
-      ~start ~sc path ~within
-  end
+and retry_lockless t ctx ~start ~flags sc path ~within ~attempt =
+  if attempt + 1 >= max_sharded_attempts then
+    escalate t ctx ~start ~flags sc path ~within ~reprobe:true
   else begin
     Domain.cpu_relax ();
-    probe_sharded t ctx ~start ~flags sc path ~within ~attempt:(attempt + 1)
+    lookup_lockless t ctx ~start ~flags sc path ~within ~attempt:(attempt + 1)
   end
 
 (* [within] runs on the resolved (mount, dentry) while the lookup is still
-   protected (lockless-validated or read-locked on a fastpath hit, write
-   side on fallback), so callers can pin dentries or check permissions
-   without a race against eviction.  This is the allocation-free entry
-   point: on the default configuration a warm DLHT hit builds no
-   [path_ref], no closure and no option — the only allocation is whatever
-   [within] itself does. *)
+   protected (lockless-validated on a fastpath hit, write side in the
+   resolver), so callers can pin dentries or check permissions without a
+   race against eviction.  This is the allocation-free entry point: a warm
+   DLHT hit builds no [path_ref], no closure and no option — the only
+   allocation is whatever [within] itself does. *)
 let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
-  let cfg = config t in
   let start = match start with Some s -> s | None -> ctx.Walk.cwd in
-  let absolute = Path.is_absolute path in
-  if not cfg.Config.fastpath then begin
+  if not (config t).Config.fastpath then begin
     (* Baseline kernel: component-at-a-time only.  *at()-style lookups
        resolve relative to [start]; the slowpath reads the origin from the
        context's cwd. *)
@@ -1354,77 +1237,12 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
           | Ok r -> within r.mnt r.dentry
           | Error e -> Error e)
   end
-  else if cfg.Config.dotdot = Config.Dotdot_lexical then begin
-    (* Lexical mode keeps the list-based probe (it must normalize the
-       component list before hashing); allocation discipline only targets
-       the default mode. *)
-    let attempt =
-      Dcache.with_read t.dcache (fun () ->
-          match probe t ctx ~start ~flags path with
-          | Ok r ->
-            Counter.bump t.c_hit;
-            Trace.stamp Trace.ev_fast_hit 0;
-            Some (within r.mnt r.dentry)
-          | Error e ->
-            Counter.bump t.c_hit;
-            Trace.stamp Trace.ev_fast_hit 0;
-            Some (Error e)
-          | exception Fall_back -> None
-          | exception Errno.Error e -> Some (Error e))
-    in
-    match attempt with
-    | Some outcome -> outcome
-    | None -> fallback t { ctx with Walk.cwd = start } ~flags ~absolute ~start path ~within
-  end
   else begin
     match validate_raw path with
     | 1 -> Errno.to_error Errno.ENOENT
     | 2 -> Errno.to_error Errno.ENAMETOOLONG
-    | _ -> (
-      (* Three-tier retry discipline (§3.2, mirroring RCU-walk → ref-walk):
-         1. optimistic probe, no lock, validated against the dcache write
-            sequence at its commit point;
-         2. on validation failure (or a writer already in its section),
-            the same probe under the read lock;
-         3. on a genuine miss, the slowpath fallback under the write lock.
-         A lockless [Fall_back] is only believed — i.e. only triggers the
-         expensive slowpath — if the probe's reads were valid; otherwise it
-         is retried locked first.
-
-         Sharded mode swaps tier 2 for bounded optimistic retries: the
-         read lock no longer excludes (sharded) writers, so re-probing
-         under it proves nothing — see [probe_sharded]. *)
-      let sc = Domain.DLS.get scratch_key in
-      match t.dtab with
-      | Some _ -> probe_sharded t ctx ~start ~flags sc path ~within ~attempt:0
-      | None -> (
-        let seq = Dcache.write_seq t.dcache in
-        let snap = Seqcount.read_begin seq in
-        if snap land 1 <> 0 then probe_locked t ctx ~start ~flags sc path ~within
-        else begin
-          match probe_into t ctx ~start ~flags sc path ~within ~vsnap:snap with
-          | result ->
-            Counter.bump t.c_hit;
-            Trace.stamp Trace.ev_fast_hit 0;
-            result
-          | exception Seq_retry ->
-            note_lockless_retry t ctx sc;
-            probe_locked t ctx ~start ~flags sc path ~within
-          | exception Neg_fail ->
-            (* Prefix fast-fail (§3.5): the verdict passed its seqcount
-               validation inside the probe, so it is as good as a hit —
-               answered without a lock or a walk. *)
-            promote_negfail t ctx sc path;
-            Errno.to_error sc.neg_errno
-          | exception Fall_back ->
-            if Seqcount.read_validate seq snap then
-              fallback t { ctx with Walk.cwd = start } ~flags ~absolute ~start ~sc path
-                ~within
-            else begin
-              note_lockless_retry t ctx sc;
-              probe_locked t ctx ~start ~flags sc path ~within
-            end
-        end))
+    | _ ->
+      lookup_lockless t ctx ~start ~flags (Domain.DLS.get scratch_key) path ~within ~attempt:0
   end
 
 (* Latency attribution (Trace timing mode): every public lookup is timed
@@ -1433,9 +1251,8 @@ let lookup_into_raw t ctx ?start ?(flags = Walk.default_flags) path ~within =
    after the fact: an EIO is its own class (I/O failure, never cached); any
    other error is a negative; a success on a fastpath-less configuration is
    the slowpath; a success that bumped the fallback counter went
-   probe-miss-then-slowpath; the rest are fastpath hits (including hits
-   served through the lexical probe).  Disarmed, the wrapper is one
-   load-and-branch — the warm path stays allocation-free. *)
+   probe-miss-then-slowpath; the rest are fastpath hits.  Disarmed, the
+   wrapper is one load-and-branch — the warm path stays allocation-free. *)
 let lookup_into t ctx ?start ?flags path ~within =
   if not !Trace.timing then lookup_into_raw t ctx ?start ?flags path ~within
   else begin
@@ -1458,18 +1275,18 @@ let lookup_into t ctx ?start ?flags path ~within =
 
 (* --- vectored probes (§3.9) ---
 
-   Phase 1 runs every queued op through the lockless probe under ONE
-   shared validation window: a single [Seqcount.read_begin] snapshot
-   serves the whole run, and each op's commit check validates that shared
-   snapshot plus its own recorded stripes.  This is strictly stronger
-   than the sequential per-op window — the shared snapshot is older than
-   any per-op one would be — so every interleaving accepted here would
-   also be accepted by the same ops issued back to back.  A mid-batch
-   seqcount bump splits the batch ("fastpath_batch_split"): the op
-   re-snapshots and the run continues under the new window, bounded by
-   [max_sharded_attempts] consecutive splits per op before the op is
-   deferred to phase 2 (writer storm: resolve authoritatively).  Misses
-   never walk in phase 1; they collect into [deferred].
+   Phase 1 runs every queued op through {!probe_step} under ONE shared
+   validation window: a single [Seqcount.read_begin] snapshot serves the
+   whole run, and each op's commit check validates that shared snapshot
+   plus its own recorded stripes.  This is strictly stronger than the
+   sequential per-op window — the shared snapshot is older than any per-op
+   one would be — so every interleaving accepted here would also be
+   accepted by the same ops issued back to back.  A raced op splits the
+   batch ("fastpath_batch_split"): it re-snapshots and the run continues
+   under the new window, bounded by [max_sharded_attempts] consecutive
+   splits per op before the op is deferred to phase 2 (writer storm).
+   Misses never walk in phase 1; they collect into [deferred], as do ops
+   that need state created ([Need_lock]).
 
    The loop state (windows opened, deferred count, split spins) threads
    through top-level recursions and returns packed as
@@ -1482,19 +1299,9 @@ let rec batch_run t ctx sc path flags prepare within complete deferred n i ndef 
   else begin
     let seq = Dcache.write_seq t.dcache in
     let snap = Seqcount.read_begin seq in
-    if snap land 1 <> 0 then begin
+    if snap land 1 <> 0 then
       (* A writer is mid-section right now; brief by construction. *)
-      if spins + 1 >= max_sharded_attempts then begin
-        deferred.(ndef) <- i;
-        batch_run t ctx sc path flags prepare within complete deferred n (i + 1) (ndef + 1)
-          windows 0
-      end
-      else begin
-        Domain.cpu_relax ();
-        batch_run t ctx sc path flags prepare within complete deferred n i ndef windows
-          (spins + 1)
-      end
-    end
+      batch_retry t ctx sc path flags prepare within complete deferred n i ndef windows spins
     else
       batch_window t ctx sc path flags prepare within complete deferred n i ndef
         (windows + 1) spins seq snap
@@ -1507,21 +1314,14 @@ and batch_window t ctx sc path flags prepare within complete deferred n i ndef w
     prepare i;
     let p = path i in
     let vr = validate_raw p in
-    if vr = 1 then begin
-      complete i (Errno.to_error Errno.ENOENT);
-      batch_window t ctx sc path flags prepare within complete deferred n (i + 1) ndef
-        windows 0 seq snap
-    end
-    else if vr = 2 then begin
-      complete i (Errno.to_error Errno.ENAMETOOLONG);
+    if vr <> 0 then begin
+      complete i (Errno.to_error (if vr = 1 then Errno.ENOENT else Errno.ENAMETOOLONG));
       batch_window t ctx sc path flags prepare within complete deferred n (i + 1) ndef
         windows 0 seq snap
     end
     else begin
-      match probe_into t ctx ~start:ctx.Walk.cwd ~flags:(flags i) sc p ~within ~vsnap:snap with
+      match probe_step t ctx ~start:ctx.Walk.cwd ~flags:(flags i) sc p ~within seq snap with
       | r ->
-        Counter.bump t.c_hit;
-        Trace.stamp Trace.ev_fast_hit 0;
         complete i r;
         batch_window t ctx sc path flags prepare within complete deferred n (i + 1) ndef
           windows 0 seq snap
@@ -1530,7 +1330,7 @@ and batch_window t ctx sc path flags prepare within complete deferred n i ndef w
            negative, which bumps the sequence this window snapshotted:
            reopen the window (not counted as a split — self-inflicted). *)
         let reopen = match sc.promote_dir with Some _ -> true | None -> false in
-        promote_negfail t ctx sc p;
+        promote_negfail t ctx sc p ~locked:false;
         complete i (Errno.to_error sc.neg_errno);
         if reopen then
           batch_run t ctx sc path flags prepare within complete deferred n (i + 1) ndef
@@ -1538,29 +1338,25 @@ and batch_window t ctx sc path flags prepare within complete deferred n i ndef w
         else
           batch_window t ctx sc path flags prepare within complete deferred n (i + 1) ndef
             windows 0 seq snap
+      | exception (Fall_back | Need_lock as e) ->
+        (* Keep the window: the probe mutated nothing, and later ops
+           validate against the same snapshot. *)
+        if e == Need_lock then Counter.bump t.c_locked_probe;
+        deferred.(ndef) <- i;
+        batch_window t ctx sc path flags prepare within complete deferred n (i + 1)
+          (ndef + 1) windows 0 seq snap
       | exception Seq_retry ->
-        batch_split t ctx sc path flags prepare within complete deferred n i ndef windows
+        note_lockless_retry t ctx sc;
+        Counter.bump t.c_batch_split;
+        Trace.stamp Trace.ev_batch_split i;
+        batch_retry t ctx sc path flags prepare within complete deferred n i ndef windows
           spins
-      | exception Fall_back ->
-        if Seqcount.read_validate seq snap && stripes_ok sc then begin
-          (* A believed miss: defer, keep the window — the probe mutated
-             nothing, and later ops validate against the same snapshot. *)
-          deferred.(ndef) <- i;
-          batch_window t ctx sc path flags prepare within complete deferred n (i + 1)
-            (ndef + 1) windows 0 seq snap
-        end
-        else
-          batch_split t ctx sc path flags prepare within complete deferred n i ndef
-            windows spins
     end
   end
 
-and batch_split t ctx sc path flags prepare within complete deferred n i ndef windows
-    spins =
-  note_lockless_retry t ctx sc;
-  Counter.bump t.c_batch_split;
-  Trace.stamp Trace.ev_batch_split i;
+and batch_retry t ctx sc path flags prepare within complete deferred n i ndef windows spins =
   if spins + 1 >= max_sharded_attempts then begin
+    Counter.bump t.c_locked_probe;
     deferred.(ndef) <- i;
     batch_run t ctx sc path flags prepare within complete deferred n (i + 1) (ndef + 1)
       windows 0
@@ -1571,11 +1367,11 @@ and batch_split t ctx sc path flags prepare within complete deferred n i ndef wi
       (spins + 1)
   end
 
-(* Phase 2: the deferred misses, sorted by path so ops sharing ancestors
-   run adjacently — the group's first miss walks (and populates) the
-   shared prefix, the rest resume from it, most via the single-step
-   {!fallback_grouped} shortcut — under ONE write-lock acquisition and
-   with stripe-free (exclusive) DLHT populates for the whole group.
+(* Phase 2: the deferred ops, sorted by path so ops sharing ancestors run
+   adjacently — the group's first miss walks (and populates) the shared
+   prefix, the rest re-probe or resume from it, most via the single-step
+   sibling shortcut — under ONE write-lock acquisition.  Every op
+   re-probes: the scratch holds the last phase-1 probe, not this op's.
    Misses allocate anyway (walks build lists); no packing games here. *)
 let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
   (* Insertion sort of the index slice: batches are small, and adjacency
@@ -1595,46 +1391,20 @@ let batch_slowpath t ctx sc path flags prepare within complete deferred ndef =
       for k = 0 to ndef - 1 do
         let i = deferred.(k) in
         prepare i;
-        let p = path i in
-        let fl = flags i in
-        let r =
-          match probe_into t ctx ~start:ctx.Walk.cwd ~flags:fl sc p ~within ~vsnap:(-1) with
-          | r ->
-            (* An earlier miss in the group already populated this path. *)
-            Counter.bump t.c_hit;
-            Trace.stamp Trace.ev_fast_hit 0;
-            r
-          | exception Neg_fail ->
-            promote_negfail_at t ctx sc p ~locked:true;
-            Errno.to_error sc.neg_errno
-          | exception Fall_back ->
-            Counter.bump t.c_fallback;
-            Trace.stamp Trace.ev_fallback 0;
-            fallback_grouped t ctx ~flags:fl ~absolute:(Path.is_absolute p)
-              ~start:ctx.Walk.cwd ~sc p ~within
-          | exception Seq_retry ->
-            (* Stripe-recording overflow on an absurdly deep path (no
-               concurrent stripe section can be live under the write
-               lock): resolve by walking, as the sequential tiers
-               ultimately would. *)
-            Counter.bump t.c_fallback;
-            Trace.stamp Trace.ev_fallback 0;
-            fallback_grouped t ctx ~flags:fl ~absolute:(Path.is_absolute p)
-              ~start:ctx.Walk.cwd ~sc p ~within
-        in
-        complete i r
+        complete i
+          (resolve_locked t ctx ~start:ctx.Walk.cwd ~flags:(flags i) sc (path i) ~within
+             ~reprobe:true)
       done)
 
 (* The public batched entry (§3.9).  [path]/[flags]/[prepare]/[complete]
    are indexed accessors the caller allocates once per ring — not per
    submit — and [deferred] is caller-owned scratch of length >= [n]; ops
    resolve relative to the context's cwd, like the sequential default.
-   Baseline and lexical configurations degrade to per-op sequential
-   lookups so the API is uniformly available.  Reports span/window
-   amortization to {!Profiler.note_batch}. *)
+   The baseline configuration degrades to per-op sequential lookups so the
+   API is uniformly available.  Reports span/window amortization to
+   {!Profiler.note_batch}. *)
 let probe_batch t ctx ~n ~path ~flags ~prepare ~within ~complete ~deferred =
-  let cfg = config t in
-  if (not cfg.Config.fastpath) || cfg.Config.dotdot = Config.Dotdot_lexical then begin
+  if not (config t).Config.fastpath then begin
     for i = 0 to n - 1 do
       prepare i;
       complete i (lookup_into_raw t ctx ~flags:(flags i) (path i) ~within)

@@ -9,9 +9,12 @@
     ordinary component-at-a-time slowpath, whose successful prefix checks
     repopulate the DLHT and PCC for next time.
 
-    Dot-dot components follow the configured semantics (§4.2): Linux mode
-    issues an extra fastpath sub-lookup per [..] to preserve permission
-    semantics; Plan 9 lexical mode pre-processes them away. *)
+    Dot-dot components follow the configured semantics (§4.2), both
+    handled in place by the one path scanner: Linux mode issues an extra
+    fastpath sub-lookup per [..] to preserve permission semantics; Plan 9
+    lexical mode pops the name a [..] cancels and rewinds the hash to the
+    boundary before it (a [..] with no name to cancel takes the Linux
+    sub-lookup). *)
 
 open Dcache_vfs.Types
 module Walk = Dcache_vfs.Walk
@@ -45,9 +48,11 @@ val lookup_into :
     permissions without racing evictions.  [start] overrides the walk
     origin for relative paths (the *at() family); default is the context's
     cwd.  The warm probe is {e lockless}: it runs without the dcache lock,
-    validated against the dcache-wide write sequence, and retries under
-    the read lock when a concurrent write section invalidated it (RCU-walk
-    → ref-walk, §3.2); only the fallback takes the write lock.  With the
+    validated against the dcache-wide write sequence (and the stripes it
+    read), and is retried lockless a bounded number of times when a
+    concurrent write section invalidated it (RCU-walk → ref-walk, §3.2).
+    A believed miss, state the lockless probe may not create, or exhausted
+    retries go to the one write-locked resolver.  With the
     fastpath disabled in the configuration, this is the baseline kernel's
     two-phase (Rcu then Ref) slowpath.  Every syscall lookup resolves
     through this one entry point.
@@ -55,8 +60,8 @@ val lookup_into :
     The location reaches [within] as separate arguments, never a boxed
     [path_ref].  Callers pass [?flags]/[?start] as preallocated options
     where they can: a literal [~flags:f] boxes a [Some] per call.  On the
-    default configuration (fastpath on, Linux dot-dot semantics) a warm
-    DLHT hit over a plain path — no ".." components —
+    default configuration a warm DLHT hit over a plain path — no ".."
+    components, or under lexical semantics only ".." that cancel names —
     performs {e zero} minor-heap allocation and {e zero} rwlock
     acquisitions beyond what [within] itself does: the path is hashed in
     place from the raw string into per-domain scratch state, the bucket
@@ -91,15 +96,13 @@ val probe_batch :
     stripes, which is strictly stronger than the sequential per-op
     window, so batched results always match the same ops issued
     sequentially at the same point.  Misses defer to phase 2: sorted by
-    path, resolved under a single write-lock acquisition, with runs of
-    single-component siblings resolved by one probe-or-fill each
-    ({!Walk.resume_sibling}) and all publication through the stripe-free
-    exclusive DLHT insert.  Ops resolve relative to the context's cwd.
-    On baseline/lexical configurations degrades to per-op sequential
-    lookups. *)
+    path and resolved under a single write-lock acquisition by the same
+    resolver sequential lookups escalate to, with runs of single-component
+    siblings resolved by one probe-or-fill each ({!Walk.resume_sibling}).
+    Ops resolve relative to the context's cwd.  On the baseline
+    configuration degrades to per-op sequential lookups. *)
 
 val populate :
-  ?exclusive:bool ->
   t ->
   Walk.ctx ->
   visited:path_ref list ->
@@ -107,11 +110,9 @@ val populate :
   start:path_ref ->
   unit
 (** Publish a collected slowpath chain into the DLHT and PCC.  Must be
-    called with the write side held; respects the global invalidation
-    counter protocol (§3.2) and the directory-reference gating rule for
-    relative walks.  [exclusive] (default false) publishes through
-    {!Dlht.insert_exclusive} — valid only under the write lock, used by
-    batched group populates (§3.9) to skip per-splice stripe locks. *)
+    called with the write side held — {!Dlht.insert} relies on it to skip
+    stripe locks; respects the directory-reference gating rule for
+    relative walks. *)
 
 val ensure_hstate : t -> path_ref -> Dcache_sig.Signature.state
 (** Resumable hash state of a location's canonical path, computing and

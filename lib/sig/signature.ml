@@ -252,7 +252,7 @@ let feed_bytes_into key ms s ~pos ~len =
 
 (* In-place scanner over a raw path string: feeds ['/' ^ name] for every
    real component, skipping empty ones (leading, doubled and trailing
-   slashes) and ["."] — exactly the canonicalization the list-based probe
+   slashes) and ["."] — exactly the canonicalization the list-based walk
    applies to [Path.split] output, without materializing the list.
 
    Returns [scan_done] when the path is exhausted, [scan_toolong] when a
@@ -360,6 +360,21 @@ let rec hash_path_into_rec key ms sn ~max_name s ~pos =
       record_snap sn ms j;
       hash_path_into_rec key ms sn ~max_name s ~pos:j
     end
+  end
+
+let snaps_pop sn ms ~base ~cursor =
+  let n = sn.snap_n - 1 in
+  sn.snap_n <- n;
+  if n = 0 then mstate_resume ms base
+  else begin
+    let b = (n - 1) * snap_words in
+    let st = sn.snap_states in
+    ms.mpos <- st.(b);
+    ms.m0 <- st.(b + 1);
+    ms.m1 <- st.(b + 2);
+    ms.m2 <- st.(b + 3);
+    ms.m3 <- st.(b + 4);
+    sn.snap_cursors.(n - 1) <- cursor
   end
 
 type buf = { mutable ba : int; mutable bb : int; mutable bc : int; mutable bd : int }

@@ -141,6 +141,13 @@ val hash_path_into_rec : key -> mstate -> snaps -> max_name:int -> string -> pos
 (** Exactly {!hash_path_into}, additionally recording a boundary snapshot
     into [snaps] after every fed component.  Allocation-free. *)
 
+val snaps_pop : snaps -> mstate -> base:state -> cursor:int -> unit
+(** Plan 9 lexical [..] (§4.2): drop the deepest boundary and rewind the
+    running state to the one before it — to [base] when none is left —
+    whose cursor moves to [cursor] (just past the [..]), so the suffix it
+    delimits never contains the dropped name.  The caller checks that a
+    boundary is recorded and that none overflowed.  Allocation-free. *)
+
 type buf
 (** Mutable finalized digest (the in-place counterpart of [t]). *)
 

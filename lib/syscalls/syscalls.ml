@@ -223,7 +223,7 @@ let finish_open proc flags (ref_ : path_ref) =
 
    Every namespace mutation runs as resolve → plan footprint → lock →
    validate → body, written once.  With [dcache_stripes > 0] (and the
-   fastpath on, Linux dot-dot mode) the containing directory is resolved
+   fastpath on) the containing directory is resolved
    with no lock held; the section then takes the dcache lock's read side
    plus the parent's stripe, the parent's and the peeked child's, or both
    parents' (rename), so writer domains mutating different directories
@@ -319,7 +319,7 @@ let split_basename path =
 
 (* Resolve the containing directory with no lock held — warm parents
    resolve locklessly through the fastpath; cold ones take the ordinary
-   locked fallback inside [Fastpath.lookup_into].  The result is
+   write-locked resolver inside [Fastpath.lookup_into].  The result is
    re-validated under the parent's stripe before anything trusts it.  Not
    counted as a lookup: the section counts the full path once it commits. *)
 let resolve_dir ?start proc dirname =

@@ -128,11 +128,7 @@ let next_sb_id = Atomic.make 1
 let next_seq = Atomic.make 1
 
 let create config =
-  let sharded =
-    config.Config.fastpath
-    && config.Config.dcache_stripes > 0
-    && config.Config.dotdot = Config.Dotdot_linux
-  in
+  let sharded = config.Config.fastpath && config.Config.dcache_stripes > 0 in
   let counters = Counter.create () in
   {
     config;
@@ -146,9 +142,6 @@ let create config =
     write_seq = Seqcount.create ();
     invalidation = Atomic.make 0;
     stripes =
-      (* Lexical dot-dot keeps the list-based probe, which runs under the
-         read lock with no stripe validation — sharding would let writers
-         race it, so only the (default) Linux mode gets stripes. *)
       (if sharded then Some (Locktab.create config.Config.dcache_stripes) else None);
     neg_lists =
       Array.init

@@ -80,8 +80,9 @@ val write_seq : t -> Dcache_util.Seqcount.t
 (** Dcache-wide write sequence: bumped around every {!with_write} section
     (all mutation — dcache structure, DLHT splices, incremental resize —
     runs under the write lock).  The lockless fastpath snapshots it before
-    an optimistic probe and revalidates before committing, retrying under
-    the read lock on mismatch (RCU-walk → ref-walk, §3.2). *)
+    an optimistic probe and revalidates before committing, retrying it on
+    mismatch and escalating to the write lock after a bounded number of
+    attempts (RCU-walk → ref-walk, §3.2). *)
 
 val with_read : t -> (unit -> 'a) -> 'a
 val with_write : t -> (unit -> 'a) -> 'a

@@ -432,28 +432,33 @@ let resolve_resumed t ctx ?(flags = default_flags) ~start_at suffix =
    bumps neither "walk_slowpath" nor "walk_components" — the whole point
    is that no walk happens — and counts itself as "walk_resumed_sibling"
    so the grouping is visible in /proc.  Anything off the happy path
-   (trailing symlink to follow) returns [`Bail] and the caller falls back
-   to {!resolve_resumed}.  Ref mode only: caller holds the write lock and
-   has re-validated [start_at] under it, exactly as for
-   {!resolve_resumed}. *)
+   (trailing symlink to follow) returns [`Bail], uncounted, and the caller
+   falls back to {!resolve_resumed}, which counts it.  Ref mode only:
+   caller holds the write lock and has re-validated [start_at] under it,
+   exactly as for {!resolve_resumed}. *)
 let resume_sibling t ctx ~start_at ~follow name =
-  Counter.bump (Dcache.cells t).walk_resumed_sibling;
-  try
-    let dir = dir_inode_of Ref start_at.dentry in
-    may_lookup ctx dir;
-    match step Ref t start_at name with
-    | None -> `Err Errno.ENOENT
-    | Some child -> (
-      match child.d_state with
-      | Negative errno -> `Neg (child, errno)
-      | Partial _ | Positive _ -> (
-        match inode_of Ref child with
-        | None -> `Err Errno.ENOENT
-        | Some inode -> (
-          match Inode.kind inode with
-          | File_kind.Symlink when follow -> `Bail
-          | _ -> `Child (Mount.traverse_mounts { mnt = start_at.mnt; dentry = child }))))
-  with Walk_error e -> `Err e
+  let outcome =
+    try
+      let dir = dir_inode_of Ref start_at.dentry in
+      may_lookup ctx dir;
+      match step Ref t start_at name with
+      | None -> `Err Errno.ENOENT
+      | Some child -> (
+        match child.d_state with
+        | Negative errno -> `Neg (child, errno)
+        | Partial _ | Positive _ -> (
+          match inode_of Ref child with
+          | None -> `Err Errno.ENOENT
+          | Some inode -> (
+            match Inode.kind inode with
+            | File_kind.Symlink when follow -> `Bail
+            | _ -> `Child (Mount.traverse_mounts { mnt = start_at.mnt; dentry = child }))))
+    with Walk_error e -> `Err e
+  in
+  (match outcome with
+  | `Bail -> ()
+  | `Err _ | `Neg _ | `Child _ -> Counter.bump (Dcache.cells t).walk_resumed_sibling);
+  outcome
 
 let resolve t ctx ?(flags = default_flags) path =
   match Dcache.with_read t (fun () -> resolve_in_mode Rcu t ctx ~flags path) with

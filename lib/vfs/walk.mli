@@ -93,7 +93,12 @@ val resume_sibling :
     slowpath uses it for runs of misses sharing an already-walked parent.
     [follow] is the caller's [follow_last]; a symlink result bails rather
     than splicing.  Same locking contract as {!resolve_resumed}.  Bumps
-    "walk_resumed_sibling" instead of "walk_slowpath"/"walk_components". *)
+    "walk_resumed_sibling" instead of "walk_slowpath"/"walk_components" —
+    except on [`Bail], whose {!resolve_resumed} counts the lookup. *)
+
+val follow_dotdot : ctx -> path_ref -> path_ref
+(** One [..] step from a directory: climb to its parent, exiting mounts at
+    their roots, but never above the process root (the chroot barrier). *)
 
 exception Need_refwalk
 (** Raised (only) from [resolve_in_mode Rcu] when the walk cannot proceed

@@ -51,7 +51,6 @@ let optimized =
     ("fastpath_fallback", 97);
     ("fastpath_hit", 132);
     ("fastpath_locked_probe", 2);
-    ("fastpath_lockless_retry", 16);
     ("fastpath_negative_hit", 48);
     ("fastpath_negfail_promoted", 4);
     ("fastpath_populated", 168);
@@ -88,8 +87,9 @@ let optimized =
     ("sys_truncate", 18);
     ("sys_unlink", 33);
     ("sys_write", 13);
-    ("walk_components", 295);
+    ("walk_components", 292);
     ("walk_negative_hit", 161);
-    ("walk_resumed", 20);
-    ("walk_slowpath", 285);
+    ("walk_resumed", 17);
+    ("walk_resumed_sibling", 3);
+    ("walk_slowpath", 282);
   ]

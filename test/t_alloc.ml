@@ -72,6 +72,28 @@ let test_warm_hit_zero_alloc () =
   Alcotest.(check (pair int int)) "zero rwlock acquisitions over 10k warm hits" (0, 0)
     (reads, writes)
 
+let test_warm_lexical_hit_zero_alloc () =
+  (* Plan 9 lexical ".." is resolved in the scanner: popping "x" rewinds
+     the running hash to the boundary before it, with no component list. *)
+  let config = { Config.optimized with Config.dotdot = Config.Dotdot_lexical } in
+  let kernel, p = ram_kernel ~config () in
+  get "tree" (S.mkdir_p p "/a/b/c");
+  get "file" (S.write_file p "/a/b/c/target" "payload");
+  let fp = Kernel.fastpath kernel in
+  let ctx = Proc.walk_ctx p in
+  let path = "/a/b/x/../c/target" in
+  probe_ok fp ctx path;
+  let h0 = counter kernel "fastpath_hit" in
+  let iters = 10_000 in
+  Rwlock.reset_acquisition_counts ();
+  let words = measure_minor_words iters (fun () -> probe_ok fp ctx path) in
+  let locks = Rwlock.acquisition_counts () in
+  Alcotest.(check int) "all probes were fastpath hits" (iters + 2)
+    (counter kernel "fastpath_hit" - h0);
+  Alcotest.(check (float 0.0)) "zero minor-heap words over 10k lexical hits" 0.0 words;
+  Alcotest.(check (pair int int)) "zero rwlock acquisitions over 10k lexical hits" (0, 0)
+    locks
+
 let test_warm_lease_hit_zero_alloc () =
   (* The lease gate sits on the lockless commit path (§3.7): a warm hit on
      a stateful network mount consults the client's lease table for the
@@ -889,6 +911,8 @@ let suite =
       test_warm_batch_zero_alloc;
     Alcotest.test_case "warm live-lease hit allocates zero minor words" `Quick
       test_warm_lease_hit_zero_alloc;
+    Alcotest.test_case "warm lexical hit through a popped .. allocates zero minor words"
+      `Quick test_warm_lexical_hit_zero_alloc;
     Alcotest.test_case "warm negative hit allocates zero minor words" `Quick
       test_warm_negative_hit_zero_alloc;
     Alcotest.test_case "armed trace ring stamp allocates zero minor words" `Quick

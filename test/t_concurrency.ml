@@ -31,7 +31,7 @@ let test_parallel_stats_consistent config () =
   List.iter Domain.join workers;
   Alcotest.(check int) "no wrong results" 0 (Atomic.get errors)
 
-let test_readers_race_renames config () =
+let test_readers_race_renames ?(stable = "/race/dir/stable") config () =
   let kernel, p = ram_kernel ~config () in
   get "tree" (S.mkdir_p p "/race/dir");
   get "f" (S.write_file p "/race/dir/stable" "S");
@@ -44,7 +44,7 @@ let test_readers_race_renames config () =
             let rp = Proc.fork p in
             while not (Atomic.get stop) do
               (* [stable] never moves: it must always resolve correctly. *)
-              (match S.read_file rp "/race/dir/stable" with
+              (match S.read_file rp stable with
               | Ok "S" -> ()
               | Ok _ -> Atomic.incr errors
               | Error _ -> Atomic.incr errors);
@@ -373,6 +373,13 @@ let suite =
       (test_readers_race_renames Config.baseline);
     Alcotest.test_case "readers race renames [optimized]" `Slow
       (test_readers_race_renames Config.optimized);
+    Alcotest.test_case "readers race renames [unsharded]" `Slow
+      (test_readers_race_renames { Config.optimized with Config.dcache_stripes = 0 });
+    (* The stable path's popped ".." drives the in-place lexical step
+       under the same races. *)
+    Alcotest.test_case "readers race renames [lexical]" `Slow
+      (test_readers_race_renames ~stable:"/race/dir/gone/../stable"
+         { Config.optimized with Config.dotdot = Config.Dotdot_lexical });
     Alcotest.test_case "parallel PCC same cred" `Slow test_parallel_pcc_same_cred;
     Alcotest.test_case "2-writer churn, lockless readers [seed 1]" `Slow
       (test_nwriter_churn ~writers:2 1);

@@ -393,6 +393,26 @@ let test_dotdot_linux_vs_lexical () =
   Alcotest.(check string) "lexical semantics: literal parent" "t-dir"
     (run { Config.optimized with Config.dotdot = Config.Dotdot_lexical })
 
+let test_lexical_popped_name_skips_fastfail () =
+  (* A lexical ".." cancels the name before it, so the DIR_COMPLETE
+     fast-fail must judge the name after the "..", never the popped one:
+     "missing" is absent from complete /a, but "c" is there. *)
+  let config = { Config.optimized with Config.dotdot = Config.Dotdot_lexical } in
+  let kernel, p = ram_kernel ~config () in
+  get "a" (S.mkdir p "/a");
+  get "c" (S.write_file p "/a/c" "C");
+  ignore (get "warm /a" (S.stat p "/a"));
+  expect_err Errno.ENOENT "a missing name fast-fails" (S.stat p "/a/missing");
+  Alcotest.(check bool) "/a answers absences from completeness" true
+    (counter kernel "fastpath_prefix_negfail" > 0);
+  Kernel.reset_stats kernel;
+  ignore (get "popped name" (S.stat p "/a/missing/../c"));
+  Alcotest.(check int) "no fast-fail on the popped name" 0
+    (counter kernel "fastpath_prefix_negfail");
+  Alcotest.(check int) "resumed from /a" 1 (counter kernel "fastpath_prefix_resume");
+  Alcotest.(check string) "read through the popped name" "C"
+    (get "read" (S.read_file p "/a/missing/../c"))
+
 let test_pcc_unit () =
   let pcc = Pcc.create ~entries:64 () in
   Alcotest.(check int) "capacity rounded" 64 (Pcc.capacity pcc);
@@ -473,6 +493,8 @@ let suite =
     Alcotest.test_case "eviction coherence" `Quick test_eviction_coherence;
     Alcotest.test_case "simulate PCC miss mode" `Quick test_simulate_pcc_miss_mode;
     Alcotest.test_case "dotdot: linux vs lexical" `Quick test_dotdot_linux_vs_lexical;
+    Alcotest.test_case "lexical: popped name never reaches the fast-fail" `Quick
+      test_lexical_popped_name_skips_fastfail;
     Alcotest.test_case "pcc unit" `Quick test_pcc_unit;
     Alcotest.test_case "dynamic PCC grows" `Quick test_dynamic_pcc_grows;
   ]

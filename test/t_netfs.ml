@@ -108,7 +108,7 @@ let lease_ttl = 2_000_000
 
 let lease_skew = 200_000
 
-let make_leased ?faults () =
+let make_leased ?faults ?(config = Config.optimized) () =
   let clock = Vclock.create () in
   let backing = Dcache_fs.Ramfs.create () in
   let server =
@@ -116,11 +116,11 @@ let make_leased ?faults () =
       ~grace_ns:(lease_ttl + lease_skew) ~skew_ns:lease_skew ~clock backing
   in
   let c, fs = Netfs.connect_fs ~protocol:Netfs.Stateful server in
-  let kernel = Kernel.create ~config:Config.optimized ~root_fs:fs () in
+  let kernel = Kernel.create ~config ~root_fs:fs () in
   (kernel, Proc.spawn kernel, server, c, clock)
 
-let test_lease_expiry_forces_revalidation () =
-  let kernel, p, server, c, clock = make_leased () in
+let test_lease_expiry_forces_revalidation config () =
+  let kernel, p, server, c, clock = make_leased ~config () in
   populate p;
   ignore (get "warm" (S.stat p "/export/data/file"));
   Netfs.reset_rpc_count server;
@@ -368,7 +368,10 @@ let suite =
       test_stateful_callback_invalidates;
     Alcotest.test_case "rpc latency charged" `Quick test_rpc_latency_charged;
     Alcotest.test_case "lease expiry forces revalidation" `Quick
-      test_lease_expiry_forces_revalidation;
+      (test_lease_expiry_forces_revalidation Config.optimized);
+    Alcotest.test_case "lease expiry forces revalidation [lexical]" `Quick
+      (test_lease_expiry_forces_revalidation
+         { Config.optimized with Config.dotdot = Config.Dotdot_lexical });
     Alcotest.test_case "lease break reaches the other client" `Quick
       test_lease_break_reaches_other_client;
     Alcotest.test_case "crash recovery fences the old epoch" `Quick test_crash_epoch_fencing;

@@ -347,9 +347,11 @@ let test_prefix_resume_surface () =
         (resumes <= snap "fastpath_prefix_resume");
       Alcotest.(check bool) "negfail counter bounded by snapshot" true
         (negfails <= snap "fastpath_prefix_negfail");
-      (* Every resumed fallback ran exactly one resumed walk. *)
+      (* Every resumed fallback ran exactly one resumed walk or one
+         single-component sibling step. *)
       Alcotest.(check int) "walk_resumed agrees with the resume counter"
-        (snap "fastpath_prefix_resume") (snap "walk_resumed");
+        (snap "fastpath_prefix_resume")
+        (snap "walk_resumed" + snap "walk_resumed_sibling");
 
       (* Resume-depth histogram: populated, bounded by the chain depth, and
          never more samples than resumes.  The /proc reads themselves keep

@@ -31,6 +31,21 @@ let render_dlht kernel =
         "";
       ]
 
+(* PCC figures for the default credential in the init namespace, so the
+   fastpath's PCC hit ratio can be re-derived from /proc.  Gauges like the
+   [dlht_] lines (all zero before that credential's first fastpath
+   lookup): [pcc_displaced] restarts at every growth step.  t_procfs
+   cross-checks them against the [Pcc] accessors. *)
+let render_pcc kernel =
+  let module Pcc = Dcache_core.Pcc in
+  let capacity, grows, hits, misses, displaced =
+    match Pcc.of_cred_exn (Lazy.force Proc.default_cred) (Kernel.init_ns kernel) with
+    | t -> (Pcc.capacity t, Pcc.grows t, Pcc.hits t, Pcc.misses t, Pcc.displaced t)
+    | exception Not_found -> (0, 0, 0, 0, 0)
+  in
+  Printf.sprintf "pcc_capacity %d\npcc_grows %d\npcc_hits %d\npcc_misses %d\npcc_displaced %d\n"
+    capacity grows hits misses displaced
+
 (* The gauges go first: the counter tail may be truncated by a byte or two
    when the reading syscalls themselves grow a counter between the size
    (getattr) and content (read) generations of the pseudo-file. *)
@@ -38,7 +53,7 @@ let render_stats kernel () =
   Kernel.stats_snapshot kernel
   |> List.map (fun (name, value) -> Printf.sprintf "%s %d" name value)
   |> String.concat "\n"
-  |> fun body -> render_dlht kernel ^ body ^ "\n"
+  |> fun body -> render_dlht kernel ^ render_pcc kernel ^ body ^ "\n"
 
 let render_summary kernel () =
   let dcache = Kernel.dcache kernel in

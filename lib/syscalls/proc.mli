@@ -78,6 +78,10 @@ val scratch_set : dirent_scratch -> int -> string -> int -> Dcache_types.File_ki
     array stores, the warm readdir's only writes.  [i] must be below
     {!scratch_cap}. *)
 
+val default_cred : Dcache_cred.Cred.t Lazy.t
+(** The root credential shared by every process spawned without [?cred],
+    in every kernel of the program; its PCC is per namespace (§4.1, §4.3). *)
+
 val spawn : ?cred:Dcache_cred.Cred.t -> Kernel.t -> t
 (** A fresh process at the kernel's root with the given credentials
     (default: a root credential shared per kernel). *)

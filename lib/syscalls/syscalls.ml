@@ -345,6 +345,13 @@ let live_dir (pref : path_ref) =
 let striped_target d at dir name =
   { at; dir; name; child = Dcache.lookup d at.dentry name; striped = true }
 
+(* The locked walk checks search permission on the parent before it looks
+   up the last component, so every verdict it reaches — EEXIST and ENOENT
+   included — is EACCES in a directory the caller cannot search.  A stripe
+   section reads the child straight from the dcache and must not skip
+   that check; a denial takes the locked route, whose walk reports it. *)
+let searchable proc dir = Result.is_ok (permission proc dir Access.may_exec)
+
 (* The stripe route calls top-level functions with plain arguments — no
    per-call closure, and match chains instead of [let*] continuations in
    the bodies — because a mutation's garbage is paid for in
@@ -432,7 +439,7 @@ let mutate ?start proc ~site ~peek ~plan ~body ~global arg path =
           match live_dir pref with
           | Some dir ->
             let tg = striped_target d pref dir name in
-            if still_peeked peeked tg.child && plan proc arg tg then begin
+            if still_peeked peeked tg.child && searchable proc dir && plan proc arg tg then begin
               let r = run_section d tab si sj body proc arg tg in
               note_lookup proc path;
               r
@@ -865,6 +872,19 @@ let may_delete proc tg child =
   if Mount.is_mountpoint proc.Proc.ns tg.at.mnt child then Error Errno.EBUSY
   else writable_dir proc tg
 
+(* A childless, singly-linked non-directory that is no mountpoint: the
+   name a stripe may remove.  Its inode is reachable through no other
+   parent's stripe, so its nlink and inode-cache bookkeeping stay inside
+   the section (as for [plan_unlink]). *)
+let sole_leaf proc mnt d =
+  match d.d_state with
+  | Positive inode ->
+    (not (Inode.is_dir inode))
+    && Dlist.is_empty d.d_children
+    && (Inode.attr inode).Attr.nlink = 1
+    && not (Mount.is_mountpoint proc.Proc.ns mnt d)
+  | Negative _ | Partial _ -> false
+
 (* An uncached name needs the slowpath's fill, a [Partial] one a
    promotion.  Extra hard links put the shared inode's nlink under other
    parents' stripes, and mountpoints and deep negatives need the write
@@ -876,11 +896,7 @@ let plan_unlink proc () tg =
     match child.d_state with
     | Negative _ -> true
     | Partial _ -> false
-    | Positive inode ->
-      Inode.is_dir inode
-      || Dlist.is_empty child.d_children
-         && (not (Mount.is_mountpoint proc.Proc.ns tg.at.mnt child))
-         && (Inode.attr inode).Attr.nlink = 1)
+    | Positive inode -> Inode.is_dir inode || sole_leaf proc tg.at.mnt child)
 
 let unlink_body proc () tg =
   match tg.child with
@@ -965,13 +981,14 @@ let rec is_ancestor ~(of_ : dentry) candidate =
   || (match of_.d_parent with Some parent -> is_ancestor ~of_:parent candidate | None -> false)
 
 (* Rename's footprint is both parents' stripes.  A stripe serves a
-   negative source (ENOENT) and moves a childless, singly-linked
-   non-directory that is no mountpoint onto a missing or childless
-   negative name (or onto itself); a displaced positive or [Partial]
-   target carries nlink and inode-cache bookkeeping.  Returns the
-   destination's target, [name] in the live directory [at]/[dir].  The
-   destination is looked up only behind such a source: no other source's
-   verdict reads it. *)
+   negative source (ENOENT) and moves a childless non-directory that is no
+   mountpoint onto a missing or childless negative name, onto itself, or
+   over a [sole_leaf] — git's [index.lock] → [index], an editor's atomic
+   save.  A directory source, a hard-linked or [Partial] target, or one
+   with cached children takes the write lock.  Returns the destination's
+   target, [name] in the live directory [at]/[dir].  The destination is
+   looked up only behind such a source: no other source's verdict reads
+   it. *)
 let plan_rename proc d (src : target) at dir name =
   match src.child with
   | Some s when dentry_is_negative s -> Some { at; dir; name; child = None; striped = true }
@@ -980,7 +997,12 @@ let plan_rename proc d (src : target) at dir name =
          && Dlist.is_empty s.d_children
          && not (Mount.is_mountpoint proc.Proc.ns src.at.mnt s) -> (
     match Dcache.lookup d at.dentry name with
-    | Some t when not (t == s || (dentry_is_negative t && Dlist.is_empty t.d_children)) -> None
+    | Some t
+      when not
+             (t == s
+             || (dentry_is_negative t && Dlist.is_empty t.d_children)
+             || sole_leaf proc at.mnt t) ->
+      None
     | child -> Some { at; dir; name; child; striped = true })
   | Some _ | None -> None
 
@@ -1072,7 +1094,7 @@ let rename proc old_path new_path =
         let si = Locktab.index tab po.dentry.d_id and sj = Locktab.index tab pn.dentry.d_id in
         enter_section d tab si sj (fun cs -> cs.cs_rename);
         match (live_dir po, live_dir pn) with
-        | Some odir, Some ndir -> (
+        | Some odir, Some ndir when searchable proc odir && searchable proc ndir -> (
           let src = striped_target d po odir old_name in
           match plan_rename proc d src pn ndir new_name with
           | Some dst ->

@@ -457,6 +457,128 @@ let test_dynamic_pcc_grows () =
      32-entry cache would miss nearly everything). *)
   Alcotest.(check bool) "mostly fastpath" true (counter kernel "fastpath_fallback" < 100)
 
+(* --- the PCC driven directly ---
+
+   Synthetic dentries: the PCC reads only [d_id] and [d_seq], so copies of
+   one real root dentry with fresh ids stand in for a tree. *)
+let pcc_dentry =
+  let root =
+    match Dcache_vfs.Dcache.make_superblock (Dcache_fs.Ramfs.create ()) with
+    | Ok sb -> Dcache_vfs.Dcache.sb_root sb
+    | Error e -> Alcotest.failf "superblock: %s" (Errno.to_string e)
+  in
+  fun id -> { root with Dcache_vfs.Types.d_id = id; d_seq = 1 }
+
+(* One pass of lookups the way the fastpath drives the PCC: a check, and a
+   fill after every miss.  Returns the pass's misses. *)
+let pcc_pass pcc ds =
+  let m0 = Pcc.misses pcc in
+  Array.iter (fun d -> if not (Pcc.check pcc d) then Pcc.insert pcc d) ds;
+  Pcc.misses pcc - m0
+
+let test_pcc_keeps_working_set () =
+  (* A working set at 54% of capacity must stay resident after a cold flood
+     of five capacities' worth of entries that are never looked up again:
+     no overfull set may thrash it (§3.1's 64 KB PCC, §6.3). *)
+  List.iter
+    (fun (label, stride) ->
+      let pcc = Pcc.create ~entries:4096 () in
+      for i = 0 to (5 * 4096) - 1 do
+        Pcc.insert pcc (pcc_dentry (1_000_000 + i))
+      done;
+      let hot = Array.init 2200 (fun i -> pcc_dentry (2_000_000 + (stride * i))) in
+      Alcotest.(check int) (label ^ ": first pass misses everything") 2200 (pcc_pass pcc hot);
+      Alcotest.(check int) (label ^ ": second pass all hits") 0 (pcc_pass pcc hot);
+      Alcotest.(check int) (label ^ ": third pass all hits") 0 (pcc_pass pcc hot))
+    [ ("dense ids", 1); ("strided ids", 9) ]
+
+let test_pcc_growth_needs_conflict () =
+  (* Cold inserts never grow a dynamic PCC; a cyclic working set larger
+     than the cache, refilled on every miss, does. *)
+  let pcc = Pcc.create ~entries:64 ~max_entries:4096 () in
+  for i = 0 to 9999 do
+    Pcc.insert pcc (pcc_dentry (3_000_000 + i))
+  done;
+  Alcotest.(check int) "cold flood: no growth" 0 (Pcc.grows pcc);
+  Alcotest.(check int) "cold flood: nothing referenced displaced" 0 (Pcc.displaced pcc);
+  let hot = Array.init 500 (fun i -> pcc_dentry (4_000_000 + i)) in
+  for _ = 1 to 4 do
+    ignore (pcc_pass pcc hot)
+  done;
+  Alcotest.(check bool) "conflict grows the cache" true (Pcc.grows pcc > 0);
+  (* Once the cache has room, the passes' remaining conflicts die out. *)
+  let rec settles k = k <= 30 && (pcc_pass pcc hot = 0 || settles (k + 1)) in
+  Alcotest.(check bool) "grown cache settles on the working set" true (settles 1)
+
+(* Soundness model: whatever the replacement, moves and growth do, [check]
+   and [probe] may only answer true for a (dentry, seq) pair inserted at
+   that seq.  A small dynamic cache over a larger id universe exercises
+   reuse, empty fills, second chances, cuckoo moves and growth. *)
+type pcc_step = P_insert of int | P_check of int | P_probe of int | P_bump of int | P_sweep
+
+let pp_pcc_step = function
+  | P_insert i -> Printf.sprintf "insert %d" i
+  | P_check i -> Printf.sprintf "check %d" i
+  | P_probe i -> Printf.sprintf "probe %d" i
+  | P_bump i -> Printf.sprintf "bump %d" i
+  | P_sweep -> "sweep"
+
+let pcc_universe = 96
+
+let pcc_step_gen =
+  QCheck.Gen.(
+    let id = int_range 0 (pcc_universe - 1) in
+    frequency
+      [
+        (4, map (fun i -> P_insert i) id);
+        (4, map (fun i -> P_check i) id);
+        (2, map (fun i -> P_probe i) id);
+        (1, map (fun i -> P_bump i) id);
+        (1, return P_sweep);
+      ])
+
+let test_pcc_soundness_model () =
+  let grown = ref 0 in
+  let prop =
+    QCheck.Test.make ~name:"PCC never answers for an uninserted (dentry, seq)" ~count:300
+      (QCheck.make
+         ~print:(fun steps -> String.concat "; " (List.map pp_pcc_step steps))
+         QCheck.Gen.(list_size (int_range 1 400) pcc_step_gen))
+      (fun steps ->
+        let pcc = Pcc.create ~entries:16 ~max_entries:128 () in
+        let ds = Array.init pcc_universe (fun i -> pcc_dentry (5_000_000 + (i * 37))) in
+        let inserted = Hashtbl.create 64 in
+        let insert i =
+          Hashtbl.replace inserted (i, ds.(i).Dcache_vfs.Types.d_seq) ();
+          Pcc.insert pcc ds.(i)
+        in
+        let sound what i answer =
+          if answer && not (Hashtbl.mem inserted (i, ds.(i).Dcache_vfs.Types.d_seq)) then
+            QCheck.Test.fail_reportf "%s %d answered true at seq %d, never inserted" what i
+              ds.(i).Dcache_vfs.Types.d_seq
+        in
+        List.iter
+          (function
+            | P_insert i -> insert i
+            | P_check i -> sound "check" i (Pcc.check pcc ds.(i))
+            | P_probe i -> sound "probe" i (Pcc.probe pcc ds.(i))
+            | P_bump i -> ds.(i).Dcache_vfs.Types.d_seq <- ds.(i).Dcache_vfs.Types.d_seq + 1
+            | P_sweep ->
+              (* The fastpath's pattern over the whole universe: check,
+                 refill on a miss — what drives second chances and growth. *)
+              Array.iteri
+                (fun i d ->
+                  let hit = Pcc.check pcc d in
+                  sound "check" i hit;
+                  if not hit then insert i)
+                ds)
+          steps;
+        if Pcc.grows pcc > 0 then incr grown;
+        true)
+  in
+  QCheck.Test.check_exn prop;
+  Alcotest.(check bool) "growth exercised" true (!grown > 0)
+
 let suite =
   [
     Alcotest.test_case "fastpath hits after warm" `Quick test_fastpath_hits_after_warm;
@@ -497,6 +619,11 @@ let suite =
       test_lexical_popped_name_skips_fastfail;
     Alcotest.test_case "pcc unit" `Quick test_pcc_unit;
     Alcotest.test_case "dynamic PCC grows" `Quick test_dynamic_pcc_grows;
+    Alcotest.test_case "PCC keeps a working set below capacity" `Quick
+      test_pcc_keeps_working_set;
+    Alcotest.test_case "PCC grows on conflict, not on a cold flood" `Quick
+      test_pcc_growth_needs_conflict;
+    Alcotest.test_case "PCC soundness model" `Quick test_pcc_soundness_model;
   ]
 
 let test_ro_rw_alias_flipflop () =

@@ -461,6 +461,78 @@ let negfail_promotion_test =
       Alcotest.(check bool) "later probes were warm negative hits" true
         (counter kernel "fastpath_negative_hit" > 0))
 
+(* A scripted trace run on the baseline and the optimized kernel; every
+   observation must agree.  Returns the optimized kernel for counter
+   checks. *)
+let scripted_equiv ops =
+  let base, _ = run_trace_counting Config.baseline ops in
+  let opt, kernel = run_trace_counting Config.optimized ops in
+  List.iteri
+    (fun i (a, b) ->
+      if a <> b then
+        Alcotest.failf "op %d (%s):\n  baseline: %s\n  optimized: %s" i (pp_op (List.nth ops i)) a
+          b)
+    (List.combine base opt);
+  kernel
+
+(* Rename onto an existing file — git's [index.lock] → [index], an
+   editor's atomic save, make's [x.o.tmp] → [x.o] — commits under the two
+   parents' stripes when the target is a singly-linked leaf.  The shapes
+   around it (a hard-linked target, deep negatives below the target, a
+   directory on either side, rename onto itself, a caller without write
+   permission) must keep the baseline's answers on whichever route they
+   take. *)
+let rename_over_file_test =
+  Alcotest.test_case "rename over a file: stripe route == baseline" `Quick (fun () ->
+      let ops =
+        [
+          Mkdir "/r"; Mkdir "/s";
+          Create ("/r/index", "old"); Create ("/r/index.lock", "new");
+          Stat "/r/index"; Stat "/r/index.lock";
+          Rename ("/r/index.lock", "/r/index");
+          Stat "/r/index"; Read "/r/index"; Stat "/r/index.lock"; Readdir "/r";
+          Create ("/s/x.o.tmp", "obj"); Create ("/r/x.o", "stale"); Stat "/r/x.o";
+          Rename ("/s/x.o.tmp", "/r/x.o");
+          Read "/r/x.o"; Stat "/s/x.o.tmp"; Readdir "/s";
+          Create ("/r/a", "a"); Link ("/r/a", "/s/a2"); Create ("/r/b", "b");
+          Rename ("/r/b", "/r/a");
+          Stat "/s/a2"; Read "/s/a2"; Read "/r/a";
+          Create ("/r/t", "t"); Stat "/r/t/x"; Create ("/r/u", "u");
+          Rename ("/r/u", "/r/t");
+          Stat "/r/t/x"; Read "/r/t";
+          Mkdir "/r/dir"; Create ("/r/f", "f");
+          Rename ("/r/f", "/r/dir"); Rename ("/r/dir", "/r/index"); Rename ("/r/index", "/r/index");
+          AsUser (Rename ("/r/x.o", "/r/index"));
+          Read "/r/index"; Read "/r/x.o"; Readdir "/r";
+        ]
+      in
+      let kernel = scripted_equiv ops in
+      (* [index.lock] → [index] and [x.o.tmp] → [x.o]; the other shapes
+         take the write lock or answer before committing. *)
+      Alcotest.(check int) "leaf targets took the stripe route" 2
+        (counter kernel "sharded_rename"))
+
+(* The locked walk checks search permission on a directory before looking
+   up a name in it, so a caller who cannot search the parent gets EACCES
+   even where the cache already holds the verdict (a cached negative, an
+   existing name): the stripe route must not answer ENOENT or EEXIST
+   first. *)
+let unsearchable_parent_test =
+  Alcotest.test_case "mutation verdicts in an unsearchable directory == baseline" `Quick
+    (fun () ->
+      let ops =
+        [
+          Mkdir "/s"; Create ("/s/f", "f"); Mkdir "/s/d"; Stat "/s/gone"; Stat "/s/f";
+          Chmod ("/s", 0o644);
+          AsUser (Unlink "/s/gone"); AsUser (Rmdir "/s/gone"); AsUser (Mkdir "/s/f");
+          AsUser (Create ("/s/f", "x")); AsUser (Unlink "/s/d"); AsUser (Rmdir "/s/f");
+          AsUser (Rename ("/s/gone", "/t")); AsUser (Rename ("/s/f", "/s/g"));
+          Chmod ("/", 0o644); Stat "/nothing";
+          AsUser (Unlink "/nothing"); AsUser (Rmdir "/nothing"); AsUser (Mkdir "/s");
+        ]
+      in
+      ignore (scripted_equiv ops))
+
 (* --- profiling transparency (§3.8) ---
 
    Arming the profiler (spans minted per syscall, sketch updates on every
@@ -970,6 +1042,8 @@ let suite =
     prefix_resume_churn_test 9001;
     revocation_test;
     negfail_promotion_test;
+    rename_over_file_test;
+    unsearchable_parent_test;
     profiling_transparency_test 1;
     profiling_transparency_test 1337;
     profiling_transparency_test 9001;

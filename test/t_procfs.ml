@@ -106,8 +106,9 @@ let test_proc_observability_surface () =
       ignore (get "netfs stat" (S.stat p "/net/g"));
 
       (* /proc/dcache/stats: parses, live, and every counter figure is
-         bounded by a later Kernel snapshot.  [dlht_] lines are load gauges,
-         not counters: cross-check those against Dlht.occupancy instead. *)
+         bounded by a later Kernel snapshot.  [dlht_] and [pcc_] lines are
+         gauges, not counters: cross-check those against Dlht.occupancy and
+         the Pcc accessors instead. *)
       let stats = kv_lines (read p "/proc/dcache/stats") in
       let dlht =
         Option.get (Dcache_core.Dlht.of_namespace_opt (Kernel.init_ns kernel))
@@ -115,11 +116,14 @@ let test_proc_observability_surface () =
       let occ = Dcache_core.Dlht.occupancy dlht in
       Alcotest.(check bool) "stats report fastpath hits" true
         (assoc_or_fail "stats" "fastpath_hit" stats > 0);
-      let is_dlht k = String.length k >= 5 && String.sub k 0 5 = "dlht_" in
+      let has_prefix pre k =
+        String.length k >= String.length pre && String.sub k 0 (String.length pre) = pre
+      in
+      let is_gauge k = has_prefix "dlht_" k || has_prefix "pcc_" k in
       let snapshot = Kernel.stats_snapshot kernel in
       List.iter
         (fun (k, v) ->
-          if not (is_dlht k) then begin
+          if not (is_gauge k) then begin
             let now = match List.assoc_opt k snapshot with Some n -> n | None -> 0 in
             if v < 0 || v > now then
               Alcotest.failf "counter %s: procfs read %d, later snapshot %d" k v now
@@ -142,6 +146,23 @@ let test_proc_observability_surface () =
         (assoc_or_fail "stats" "dlht_resizes" stats);
       Alcotest.(check int) "no sigless scans in a healthy run" 0
         (assoc_or_fail "stats" "dlht_sigless_scans" stats);
+      (* The PCC gauges are the default credential's cache in the init
+         namespace; hits and misses may only have grown since the read. *)
+      let pcc =
+        Dcache_core.Pcc.of_cred_exn (Lazy.force Proc.default_cred) (Kernel.init_ns kernel)
+      in
+      Alcotest.(check int) "pcc capacity agrees" (Dcache_core.Pcc.capacity pcc)
+        (assoc_or_fail "stats" "pcc_capacity" stats);
+      Alcotest.(check int) "pcc grows agree" (Dcache_core.Pcc.grows pcc)
+        (assoc_or_fail "stats" "pcc_grows" stats);
+      Alcotest.(check bool) "pcc hits live and bounded" true
+        (let v = assoc_or_fail "stats" "pcc_hits" stats in
+         v > 0 && v <= Dcache_core.Pcc.hits pcc);
+      Alcotest.(check bool) "pcc misses live and bounded" true
+        (let v = assoc_or_fail "stats" "pcc_misses" stats in
+         v > 0 && v <= Dcache_core.Pcc.misses pcc);
+      Alcotest.(check int) "pcc displaced agrees" (Dcache_core.Pcc.displaced pcc)
+        (assoc_or_fail "stats" "pcc_displaced" stats);
 
       (* /proc/dcache/histograms: the three classes this workload exercises
          are non-empty with ordered, positive percentiles. *)

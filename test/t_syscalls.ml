@@ -342,7 +342,11 @@ let routing_script ~striped () =
   check "directory rename" Global (fun () -> get "rename" (S.rename p "/d/dd" "/d/de"));
   touch "/d/x";
   touch "/d/y";
-  check "rename onto a positive target" Global (fun () ->
+  check "rename onto a positive file" (Stripe (Some "sharded_rename")) (fun () ->
+      get "rename" (S.rename p "/d/x" "/d/y"));
+  touch "/d/x";
+  get "link" (S.link p "/d/y" "/d/y2");
+  check "rename onto a hard-linked target" Global (fun () ->
       get "rename" (S.rename p "/d/x" "/d/y"));
   get "mountpoint" (S.mkdir p "/d/mp");
   get "mount" (S.mount_fs p (Dcache_fs.Ramfs.create ()) "/d/mp");
